@@ -640,19 +640,11 @@ func runStream(base core.Config, stored *dataset.Dataset, opts streamOpts) error
 		WindowRows: opts.window,
 		MaxHistory: opts.history,
 		Observer:   opts.obs,
-	}
-	if shards > 0 {
-		cfg.Shards = shards
-		cfg.OnShardWindow = func(rep core.WindowReport, round remshard.Round) {
-			fmt.Fprintf(os.Stderr, "window %d: +%d rows (%d total) → round %d: %d keys dirty across %d/%d shards, %d tiles shared\n",
-				rep.Window, rep.NewRows, rep.TotalRows, rep.Version, rep.DirtyKeys, rep.Shards, shards, rep.SharedTiles)
-		}
-	} else {
-		cfg.OnWindow = func(rep core.WindowReport, snap *remstore.Snapshot) {
-			built, shared := snap.BuildStats()
-			fmt.Fprintf(os.Stderr, "window %d: +%d rows (%d total) → snapshot v%d: %d/%d keys rebuilt, %d tiles shared\n",
-				rep.Window, rep.NewRows, rep.TotalRows, rep.Version, built, len(snap.Map().Keys()), shared)
-		}
+		Shards:     shards,
+		OnWindow: func(rep core.WindowReport) {
+			fmt.Fprintf(os.Stderr, "window %d: +%d rows (%d total) → v%d: %d keys dirty across %d/%d shard(s), %d tiles shared\n",
+				rep.Window, rep.NewRows, rep.TotalRows, rep.Version, rep.DirtyKeys, rep.Shards, max(shards, 1), rep.SharedTiles)
+		},
 	}
 
 	var srv *remserve.Server

@@ -84,9 +84,9 @@ func run() error {
 		keysCh <- ss.Keys()
 		addrCh <- l.Addr().String()
 	}
-	cfg.OnShardWindow = func(rep core.WindowReport, round remshard.Round) {
+	cfg.OnWindow = func(rep core.WindowReport) {
 		fmt.Printf("window %d: +%4d rows → round %d, %d/%d shards republished\n",
-			rep.Window, rep.NewRows, round.Seq, round.AffectedShards, cfg.Shards)
+			rep.Window, rep.NewRows, rep.Version, rep.Shards, cfg.Shards)
 	}
 	streamDone := make(chan *core.StreamResult, 1)
 	streamErr := make(chan error, 1)

@@ -20,6 +20,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/rem"
+	"repro/internal/remshard"
 	"repro/internal/remstore"
 )
 
@@ -33,17 +34,15 @@ func main() {
 func run() error {
 	probe := geom.PaperScanVolume().Center()
 
-	// 1. A store the stream will publish into — created first, so clients
-	// can start querying before the first snapshot exists.
-	store := remstore.New(3)
-
-	// 2. The client: hammer the store until told to stop, counting how
+	// 1. The client: once the stream hands out its store (before the
+	// first snapshot exists), hammer it until told to stop, counting how
 	// many distinct snapshot versions it observed serving traffic.
+	var store *remstore.Store
 	stop := make(chan struct{})
 	clientDone := make(chan struct{})
 	var served atomic.Uint64
 	versions := sync.Map{}
-	go func() {
+	client := func() {
 		defer close(clientDone)
 		for {
 			select {
@@ -63,26 +62,33 @@ func run() error {
 				versions.Store(ver, true)
 			}
 		}
-	}()
+	}
 
-	// 3. Stream the mission: samples in ~5 windows, the per-MAC kNN
-	// default (tight dirty sets → delta-proportional rebuilds).
+	// 2. Stream the mission: samples in ~5 windows, the per-MAC kNN
+	// default (tight dirty sets → delta-proportional rebuilds), three
+	// snapshots of history.
 	cfg := core.DefaultStreamConfig(1)
-	cfg.Store = store
+	cfg.MaxHistory = 3
 	cfg.WindowRows = 520
-	cfg.OnWindow = func(rep core.WindowReport, snap *remstore.Snapshot) {
+	cfg.OnStore = func(st *remstore.Store, _ *remshard.ShardedStore) {
+		store = st
+		go client()
+	}
+	cfg.OnWindow = func(rep core.WindowReport) {
+		snap := store.SnapshotAt(rep.Version)
 		built, shared := snap.BuildStats()
 		key, rss := snap.Map().Strongest(probe)
 		fmt.Printf("window %d: +%4d rows → snapshot v%d  (%2d/%2d keys rebuilt, %3d tiles shared)  centre best: %s %.1f dBm\n",
 			rep.Window, rep.NewRows, rep.Version, built, len(snap.Map().Keys()), shared, key, rss)
 	}
 	res, err := core.RunStream(cfg)
+	close(stop)
+	if store != nil {
+		<-clientDone
+	}
 	if err != nil {
-		close(stop)
 		return err
 	}
-	close(stop)
-	<-clientDone
 
 	distinct := 0
 	versions.Range(func(_, _ any) bool { distinct++; return true })
@@ -90,7 +96,7 @@ func run() error {
 	fmt.Printf("\nstore: %d snapshots published, %d retained; client served %d queries across %d generations\n",
 		stats.Publishes, stats.HistoryLen, served.Load(), distinct)
 
-	// 4. Restart path: persist the serving snapshot with the binary codec
+	// 3. Restart path: persist the serving snapshot with the binary codec
 	// and reload it bit-for-bit.
 	final := res.Store.Current().Map()
 	var buf bytes.Buffer
@@ -108,7 +114,7 @@ func run() error {
 	fmt.Printf("codec: snapshot v%d (map generation %d) persisted and reloaded bit-for-bit (%d tiles, %d bytes)\n",
 		res.Store.Current().Version(), final.Version(), final.NumTiles(), encoded)
 
-	// 5. The reloaded map serves a fresh store immediately — no refit, no
+	// 4. The reloaded map serves a fresh store immediately — no refit, no
 	// re-rasterisation.
 	warm := remstore.New(0)
 	if _, err := warm.Publish(reloaded, 0); err != nil {
@@ -120,7 +126,7 @@ func run() error {
 	}
 	fmt.Printf("after restart: strongest at centre = %s (%.1f dBm) served by snapshot v%d\n", key, rss, ver)
 
-	// 6. A targeted refresh: five new readings of ONE network arrive
+	// 5. A targeted refresh: five new readings of ONE network arrive
 	// (say a hand-held re-survey near its AP). In the mission windows
 	// above nearly every MAC appears in every window — a survey sees the
 	// whole neighbourhood — so whole-map rebuilds were honest. A targeted

@@ -4,7 +4,7 @@
 // rebuild and publish — concurrently — while clients keep querying every
 // shard lock-free. The walkthrough shows:
 //
-//  1. routed queries (At/AtBatch) and cross-shard best-server queries
+//  1. routed queries (At/AtBatchInto) and cross-shard best-server queries
 //     (Strongest) hammering the store while the stream publishes;
 //  2. determinism contract rule 8: the sharded store's merged view is
 //     byte-identical to a monolithic stream over the same data;
@@ -22,11 +22,11 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
-	"repro/internal/dataset"
 	"repro/internal/geom"
 	"repro/internal/mission"
 	"repro/internal/rem"
 	"repro/internal/remshard"
+	"repro/internal/remstore"
 )
 
 func main() {
@@ -40,11 +40,11 @@ func run() error {
 	const shards = 4
 	probe := geom.PaperScanVolume().Center()
 
-	// 1. Fly the mission once and fix the vocabulary, so the sharded
-	// store can exist before the stream starts publishing into it —
-	// clients query it from the first moment.
+	// 1. Fly the mission once; the same dataset later feeds the 1-shard
+	// stream the rule 8 check compares against.
 	cfg := core.DefaultStreamConfig(1)
 	cfg.WindowRows = 520
+	cfg.Shards = shards // Partitioner nil → hash-by-MAC
 	ctrl, err := mission.NewPaperController(cfg.Mission)
 	if err != nil {
 		return err
@@ -53,86 +53,80 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	pre, err := dataset.Preprocess(data, cfg.MinSamplesPerMAC)
-	if err != nil {
-		return err
-	}
-	store, err := remshard.New(pre.MACs, remshard.Config{
-		Shards:     shards, // Partitioner nil → hash-by-MAC
-		Volume:     geom.PaperScanVolume(),
-		Resolution: cfg.REMResolution,
-	})
-	if err != nil {
-		return err
-	}
-	for si := 0; si < shards; si++ {
-		fmt.Printf("shard %d owns %2d of %d MACs\n", si, len(store.ShardKeys(si)), len(pre.MACs))
-	}
 
 	// 2. The clients: routed point and batch queries plus cross-shard
-	// best-server queries, all lock-free, all while shards publish.
+	// best-server queries, all lock-free, all while shards publish. They
+	// start from the OnStore hook, before the first round publishes.
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	var served, batchPoints atomic.Uint64
 	clientErr := make(chan error, 2)
-	wg.Add(2)
-	go func() { // routed queries on a fixed MAC
-		defer wg.Done()
-		key := pre.MACs[0]
-		pts := []geom.Vec3{probe, geom.V(0.5, 0.5, 0.5), geom.V(3, 2, 2)}
-		buf := make([]float64, len(pts))
-		for {
-			select {
-			case <-stop:
-				return
-			default:
+	var store *remshard.ShardedStore
+	clients := func() {
+		wg.Add(2)
+		go func() { // routed queries on a fixed MAC
+			defer wg.Done()
+			key := store.Keys()[0]
+			pts := []geom.Vec3{probe, geom.V(0.5, 0.5, 0.5), geom.V(3, 2, 2)}
+			buf := make([]float64, len(pts))
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, _, err := store.At(key, probe); err != nil && !errors.Is(err, remshard.ErrEmpty) {
+					clientErr <- err
+					return
+				}
+				ver, err := store.AtBatchInto(buf, key, pts) // zero-allocation serving path
+				switch {
+				case errors.Is(err, remshard.ErrEmpty): // nothing published yet
+				case err != nil:
+					clientErr <- err
+					return
+				default:
+					_ = ver
+					served.Add(1)
+					batchPoints.Add(uint64(len(pts)))
+				}
 			}
-			if _, _, err := store.At(key, probe); err != nil && !errors.Is(err, remshard.ErrEmpty) {
-				clientErr <- err
-				return
+		}()
+		go func() { // best-server queries across every shard
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, _, _, err := store.Strongest(probe); err != nil && !errors.Is(err, remshard.ErrEmpty) {
+					clientErr <- err
+					return
+				}
 			}
-			ver, err := store.AtBatchInto(buf, key, pts) // zero-allocation serving path
-			switch {
-			case errors.Is(err, remshard.ErrEmpty): // nothing published yet
-			case err != nil:
-				clientErr <- err
-				return
-			default:
-				_ = ver
-				served.Add(1)
-				batchPoints.Add(uint64(len(pts)))
-			}
-		}
-	}()
-	go func() { // best-server queries across every shard
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if _, _, _, err := store.Strongest(probe); err != nil && !errors.Is(err, remshard.ErrEmpty) {
-				clientErr <- err
-				return
-			}
-		}
-	}()
+		}()
+	}
 
 	// 3. Stream the mission into the sharded store: only the shards a
 	// window dirties rebuild, concurrently, and publish independently.
-	cfg.ShardStore = store
-	cfg.OnShardWindow = func(rep core.WindowReport, round remshard.Round) {
+	cfg.OnStore = func(_ *remstore.Store, ss *remshard.ShardedStore) {
+		store = ss
+		for si := 0; si < shards; si++ {
+			fmt.Printf("shard %d owns %2d of %d MACs\n", si, ss.ShardLen(si), len(ss.Keys()))
+		}
+		clients()
+	}
+	cfg.OnWindow = func(rep core.WindowReport) {
 		fmt.Printf("window %d: +%4d rows → round %d: %2d keys dirty, %d/%d shards rebuilt, %3d tiles shared\n",
-			rep.Window, rep.NewRows, round.Seq, rep.DirtyKeys, round.AffectedShards, shards, round.SharedTiles)
+			rep.Window, rep.NewRows, rep.Version, rep.DirtyKeys, rep.Shards, shards, rep.SharedTiles)
 	}
 	res, err := core.RunStreamWithDataset(cfg, data, report)
-	if err != nil {
-		close(stop)
-		return err
-	}
 	close(stop)
 	wg.Wait()
+	if err != nil {
+		return err
+	}
 	select {
 	case err := <-clientErr:
 		return err
@@ -149,8 +143,8 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	monoCfg := core.DefaultStreamConfig(1)
-	monoCfg.WindowRows = cfg.WindowRows
+	monoCfg := cfg
+	monoCfg.Shards, monoCfg.OnStore, monoCfg.OnWindow = 0, nil, nil
 	mono, err := core.RunStreamWithDataset(monoCfg, data, report)
 	if err != nil {
 		return err
@@ -176,6 +170,7 @@ func run() error {
 	// dirty one shard; that shard republishes and every other shard's
 	// serving snapshot (and version) is untouched — no tile copies, no
 	// publish, no query ever blocked.
+	pre := res.Pre
 	mac := pre.MACs[0]
 	si, _ := store.ShardFor(mac)
 	before := make([]uint64, shards)

@@ -4,24 +4,24 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/dataset"
-	"repro/internal/geom"
 	"repro/internal/mission"
 	"repro/internal/ml"
 	"repro/internal/rem"
 	"repro/internal/remobs"
+	"repro/internal/remshard"
 	"repro/internal/remstore"
 	"repro/internal/remwal"
 )
 
-// This file is the ingest-driven variant of the stream loop: instead of
-// windowing a pre-recorded dataset, RunIngest bootstraps the estimator
-// on the mission's survey and then consumes live observation batches
-// from a remwal.Queue — each popped batch is one window (Observe →
-// Refit → RebuildKeys → Publish), so the serving store advances one
-// version per accepted batch and queries never block on a rebuild.
+// This file is the ingest batch source of the generation loop
+// (loop.go): instead of windowing a pre-recorded dataset, RunIngest
+// bootstraps the estimator on the mission's survey (generation 0) and
+// then feeds live observation batches from a remwal.Queue through the
+// same step — each batch is one generation (Observe → Refit →
+// Rebuild), so the serving store advances one version per accepted
+// batch and queries never block on a rebuild.
 //
 // Durability rides on the queue's write-ahead log: a batch is
 // acknowledged only after its canonical REMO bytes are on disk, and
@@ -48,9 +48,6 @@ type IngestConfig struct {
 	// MaxHistory bounds the store's retained snapshot history
 	// (≤ 0 means remstore.DefaultMaxHistory).
 	MaxHistory int
-	// Store, when set, receives the published snapshots instead of a
-	// freshly created store (MaxHistory is then ignored).
-	Store *remstore.Store
 	// Queue is the batch source — required. The loop installs a
 	// vocabulary/geometry validator on it (so rejected batches never
 	// reach the WAL) and closes it when the loop exits, flipping the
@@ -84,8 +81,8 @@ type IngestReport struct {
 	// Seq is the batch ordinal (1-based; the bootstrap publish is not a
 	// batch). For WAL-backed queues this equals the record sequence.
 	Seq uint64
-	// Version is the published snapshot's store version (bootstrap is 1,
-	// so Version = Seq+1).
+	// Version is the generation and the published snapshot's store
+	// version (bootstrap is 1, so Version = Seq+1).
 	Version uint64
 	// Rows is the number of observations in the batch.
 	Rows int
@@ -138,56 +135,24 @@ func RunIngest(cfg IngestConfig) (*IngestResult, error) {
 // until the context cancels or the queue closes. The returned result is
 // partial but valid in both cases; the error wraps the cause.
 func RunIngestWithDataset(cfg IngestConfig, data *dataset.Dataset, report *mission.Report) (*IngestResult, error) {
-	if data == nil || data.Len() == 0 {
-		return nil, errors.New("core: empty dataset")
-	}
 	if cfg.Queue == nil {
 		return nil, errors.New("core: ingest needs a Queue")
 	}
 	if cfg.Context == nil {
 		return nil, errors.New("core: ingest needs a Context (the loop has no natural end)")
 	}
-	if cfg.MinSamplesPerMAC < 1 {
-		return nil, errors.New("core: MinSamplesPerMAC must be ≥1")
-	}
-	if cfg.REMResolution[0] < 1 || cfg.REMResolution[1] < 1 || cfg.REMResolution[2] < 1 {
-		return nil, fmt.Errorf("core: ingest needs a positive REM resolution, got %v", cfg.REMResolution)
-	}
-	spec := DefaultStreamSpec()
-	if cfg.Spec != nil {
-		spec = *cfg.Spec
-	}
-	if spec.Features.IncludeChannel {
+	if cfg.Spec != nil && cfg.Spec.Features.IncludeChannel {
 		return nil, errors.New("core: ingest cannot serve channel features (live observations carry no channel)")
 	}
-	pre, err := dataset.Preprocess(data, cfg.MinSamplesPerMAC)
+	g, err := newGenerator(cfg.Config, cfg.Spec, data, remshard.Config{MaxHistory: cfg.MaxHistory}, cfg.Observer)
 	if err != nil {
 		return nil, err
 	}
-	est, err := spec.Build()
-	if err != nil {
-		return nil, fmt.Errorf("core: building %s: %w", spec.Name, err)
-	}
-	inc := ml.NewRefitAdapter(est)
-	allX, allY := pre.DesignMatrix(spec.Features)
-	featDim := pre.FeatureDim(spec.Features)
-	predict := BatchPredictorFor(inc, featDim, spec.Features.OneHotMACScale)
-	opts := rem.BuildOptions{Workers: cfg.Workers}
-	vol := geom.PaperScanVolume()
-	nKeys := len(pre.MACs)
-	macIdx := make(map[string]int, nKeys)
-	for i, m := range pre.MACs {
+	res := &IngestResult{Data: data, Report: report, Pre: g.pre, Estimator: g.inc}
+	res.Store, _ = g.edge()
+	macIdx := make(map[string]int, len(g.pre.MACs))
+	for i, m := range g.pre.MACs {
 		macIdx[m] = i
-	}
-	res := &IngestResult{
-		Data:      data,
-		Report:    report,
-		Pre:       pre,
-		Estimator: inc,
-	}
-	res.Store = cfg.Store
-	if res.Store == nil {
-		res.Store = remstore.New(cfg.MaxHistory)
 	}
 	// The vocabulary gate: a batch for an unknown MAC never reaches the
 	// WAL, so replay only ever sees batches this loop can encode.
@@ -201,33 +166,17 @@ func RunIngestWithDataset(cfg IngestConfig, data *dataset.Dataset, report *missi
 	// writes with 503 instead of acknowledging batches nobody will
 	// process.
 	defer cfg.Queue.Close()
-	o := newGenObs(cfg.Observer)
-	res.Store.SetObserver(cfg.Observer)
 	if cfg.OnStore != nil {
 		cfg.OnStore(res.Store)
 	}
+	allX, allY := g.pre.DesignMatrix(g.spec.Features)
+	if _, err := g.step(allX, allY, "batch", "bootstrap"); err != nil {
+		return nil, fmt.Errorf("core: bootstrap: %w", err)
+	}
 
-	// Bootstrap: fit on the whole survey, build and publish version 1.
-	bootStart := time.Now()
-	t := time.Now()
-	if err := inc.Fit(allX, allY); err != nil {
-		return nil, fmt.Errorf("core: fitting %s on the bootstrap survey: %w", spec.Name, err)
-	}
-	fitD := time.Since(t)
-	t = time.Now()
-	cur, err := rem.BuildMapBatch(vol, cfg.REMResolution[0], cfg.REMResolution[1], cfg.REMResolution[2], pre.MACs, predict, opts)
-	if err != nil {
-		return nil, fmt.Errorf("core: rasterising the bootstrap snapshot: %w", err)
-	}
-	buildD := time.Since(t)
-	if _, err := res.Store.Publish(cur, nKeys); err != nil {
-		return nil, err
-	}
-	o.markStages(0, fitD, buildD)
-	o.markGeneration("batch", len(allX), nKeys, 0, time.Since(bootStart), "bootstrap version=1")
-
-	processBatch := func(b remwal.Batch, seq uint64, replayed bool) error {
-		batchStart := time.Now()
+	featDim := g.pre.FeatureDim(g.spec.Features)
+	process := func(b remwal.Batch, replayed bool) error {
+		seq := uint64(len(res.Batches)) + 1
 		ki, ok := macIdx[b.Key]
 		if !ok {
 			// Replay of a WAL written before the validator existed (or by
@@ -235,79 +184,49 @@ func RunIngestWithDataset(cfg IngestConfig, data *dataset.Dataset, report *missi
 			return fmt.Errorf("core: batch %d: %w: %q", seq, rem.ErrUnknownKey, b.Key)
 		}
 		x := make([][]float64, len(b.Points))
-		y := make([]float64, len(b.Points))
 		for i, p := range b.Points {
 			row := make([]float64, featDim)
 			row[0], row[1], row[2] = p.X, p.Y, p.Z
-			row[3+ki] = spec.Features.OneHotMACScale
+			row[3+ki] = g.spec.Features.OneHotMACScale
 			x[i] = row
-			y[i] = b.Values[i]
 		}
-		t := time.Now()
-		dirty, err := inc.Observe(x, y)
+		// The estimator may keep the targets; the batch is the queue's.
+		y := append([]float64(nil), b.Values...)
+		round, err := g.step(x, y, "batch", fmt.Sprintf("seq=%d replayed=%v", seq, replayed))
 		if err != nil {
-			return fmt.Errorf("core: observing batch %d: %w", seq, err)
+			return fmt.Errorf("core: batch %d: %w", seq, err)
 		}
-		observeD := time.Since(t)
-		t = time.Now()
-		if err := inc.Refit(); err != nil {
-			return fmt.Errorf("core: refitting after batch %d: %w", seq, err)
-		}
-		refitD := time.Since(t)
-		dirtyKeys := resolveDirty(dirty, nKeys, false)
-		t = time.Now()
-		next, err := cur.RebuildKeys(dirtyKeys, predict, opts)
-		if err != nil {
-			return fmt.Errorf("core: rasterising batch %d: %w", seq, err)
-		}
-		rebuildD := time.Since(t)
-		snap, err := res.Store.Publish(next, len(dirtyKeys))
-		if err != nil {
-			return err
-		}
-		o.markStages(observeD, refitD, rebuildD)
-		_, shared := snap.BuildStats()
 		rep := IngestReport{
 			Seq:         seq,
-			Version:     snap.Version(),
+			Version:     round.Seq,
 			Rows:        len(b.Points),
-			DirtyKeys:   len(dirtyKeys),
-			SharedTiles: shared,
+			DirtyKeys:   round.DirtyKeys,
+			SharedTiles: round.SharedTiles,
 			Replayed:    replayed,
 		}
 		res.Batches = append(res.Batches, rep)
-		o.markGeneration("batch", rep.Rows, rep.DirtyKeys, rep.SharedTiles,
-			time.Since(batchStart), fmt.Sprintf("seq=%d version=%d replayed=%v", rep.Seq, rep.Version, rep.Replayed))
 		if cfg.OnBatch != nil {
 			cfg.OnBatch(rep)
 		}
-		cur = next
 		return nil
 	}
 
-	stopped := func(cause error) (*IngestResult, error) {
-		return res, fmt.Errorf("core: ingest stopped after %d batch(es): %w", len(res.Batches), cause)
-	}
-	seq := uint64(0)
-	for _, b := range cfg.Replay {
-		if err := cfg.Context.Err(); err != nil {
-			return stopped(err)
+	for i := 0; ; i++ {
+		var b remwal.Batch
+		replayed := i < len(cfg.Replay)
+		if replayed {
+			err = cfg.Context.Err()
+			b = cfg.Replay[i]
+		} else {
+			b, err = cfg.Queue.Pop(cfg.Context)
 		}
-		seq++
-		if err := processBatch(b, seq, true); err != nil {
-			return res, err
+		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) || errors.Is(err, remwal.ErrClosed) {
+			return res, fmt.Errorf("core: ingest stopped after %d batch(es): %w", len(res.Batches), err)
 		}
-	}
-	for {
-		b, err := cfg.Queue.Pop(cfg.Context)
+		if err == nil {
+			err = process(b, replayed)
+		}
 		if err != nil {
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) || errors.Is(err, remwal.ErrClosed) {
-				return stopped(err)
-			}
-			return res, err
-		}
-		seq++
-		if err := processBatch(b, seq, false); err != nil {
 			return res, err
 		}
 	}

@@ -4,15 +4,17 @@ import (
 	"time"
 
 	"repro/internal/remobs"
+	"repro/internal/remshard"
 )
 
-// genObs instruments a generation loop — the streaming windows of
-// RunStream or the live batches of RunIngest. Both loops share the
-// Observe → Refit → rebuild → publish shape, so they share one
-// instrument set; the publish half is timed by the sink store itself
-// (remstore/remshard SetObserver), which the loops wire up from the
-// same Observer. A nil *genObs is the no-op: every method checks the
-// receiver, so uninstrumented runs pay one pointer test per window.
+// genObs instruments the generation loop (loop.go) — the streaming
+// windows of RunStream and the live batches of RunIngest run the same
+// Observe → Refit → Rebuild step, so they share one instrument set. The
+// rebuild stage is one ShardedStore.Rebuild round, rasterise and
+// publish together; the sink additionally times its own publishes
+// (remstore/remshard SetObserver), wired from the same Observer. A nil
+// *genObs is the no-op: every method checks the receiver, so
+// uninstrumented runs pay one pointer test per generation.
 type genObs struct {
 	obs     *remobs.Observer
 	observe *remobs.Histogram
@@ -38,7 +40,7 @@ func newGenObs(obs *remobs.Observer) *genObs {
 		refit: reg.Histogram("rem_gen_refit_seconds",
 			"estimator Refit latency per generation"),
 		rebuild: reg.Histogram("rem_gen_rebuild_seconds",
-			"rasterisation latency per generation (RebuildKeys or from-scratch build)"),
+			"rasterise + publish latency per generation (one sink rebuild round)"),
 		gen: reg.Histogram("rem_gen_generation_seconds",
 			"whole-generation latency: observe, refit, rebuild and publish"),
 		gens: reg.Counter("rem_gen_generations_total",
@@ -68,16 +70,16 @@ func (o *genObs) markStages(observe, refit, rebuild time.Duration) {
 
 // markGeneration records one published generation: the end-to-end
 // histogram, the volume counters and a lifecycle event. kind is
-// "window" (stream) or "batch" (ingest); detail carries the per-loop
-// tail (window/seq numbering, replay flag).
-func (o *genObs) markGeneration(kind string, rows, dirtyKeys, sharedTiles int, total time.Duration, detail string) {
+// "window" (stream) or "batch" (ingest); detail carries the source's
+// numbering (window index, or seq and replay flag).
+func (o *genObs) markGeneration(kind, detail string, rows int, r remshard.Round, total time.Duration) {
 	if o == nil {
 		return
 	}
 	o.gen.Observe(total)
 	o.gens.Inc()
 	o.rows.Add(uint64(rows))
-	o.dirty.Add(uint64(dirtyKeys))
-	o.obs.Event(kind, "%s rows=%d dirty_keys=%d shared_tiles=%d took=%s",
-		detail, rows, dirtyKeys, sharedTiles, total.Round(time.Microsecond))
+	o.dirty.Add(uint64(r.DirtyKeys))
+	o.obs.Event(kind, "%s version=%d rows=%d dirty_keys=%d shared_tiles=%d shards=%d took=%s",
+		detail, r.Seq, rows, r.DirtyKeys, r.SharedTiles, r.AffectedShards, total.Round(time.Microsecond))
 }

@@ -2,43 +2,34 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/dataset"
-	"repro/internal/geom"
 	"repro/internal/mission"
 	"repro/internal/ml"
 	"repro/internal/ml/knn"
-	"repro/internal/rem"
 	"repro/internal/remobs"
 	"repro/internal/remshard"
 	"repro/internal/remstore"
 )
 
-// This file is the streaming half of the pipeline: instead of one
-// fly-fit-rasterise pass, RunStream consumes the mission's samples in
-// windows and publishes one REM snapshot per window into a remstore —
-// the incremental estimators (ml.IncrementalEstimator) report which keys
-// a window can affect, and rem.Map.RebuildKeys re-rasterises only those,
-// sharing every other tile with the previous snapshot. Queries against
-// the store never block on a rebuild.
+// This file is the streaming batch source: instead of one
+// fly-fit-rasterise pass, RunStream cuts the mission's samples into
+// windows and feeds each through the generation loop (loop.go), which
+// publishes one REM generation per window — the incremental estimators
+// (ml.IncrementalEstimator) report which keys a window can affect, and
+// only those keys re-rasterise, sharing every other tile with the
+// previous snapshot. Queries against the store never block on a
+// rebuild.
 //
-// With StreamConfig.Shards the sink is a remshard.ShardedStore instead:
-// each window's dirty-key set is grouped by shard and only the affected
-// shards rebuild and publish, concurrently — an update to one AP never
-// touches the serving snapshots of the rest, and every query still
-// answers byte-identically to the monolithic stream (determinism
-// contract rule 8). The estimator's Observe/Refit remain single
-// estimator-level calls either way (the estimator owns its internal
-// structure); it is the rasterise-and-publish half that fans out.
-//
-// The key vocabulary is fixed upfront by preprocessing the full dataset
-// (the simulated AP population is known to the mission), so every window
-// encodes against the same one-hot layout; a live deployment would
-// periodically re-run the full pipeline to admit new MACs — see the
-// ROADMAP's snapshot-GC / re-vocabulary open item.
+// With StreamConfig.Shards (or a Partitioner) the caller sees the
+// sharded store: each window's dirty-key set is grouped by shard and
+// only the affected shards rebuild and publish, concurrently — an
+// update to one AP never touches the serving snapshots of the rest, and
+// every query still answers byte-identically to the 1-shard stream
+// (determinism contract rule 8). The estimator's Observe/Refit remain
+// single estimator-level calls either way; it is the
+// rasterise-and-publish half that fans out.
 
 // StreamConfig tunes a streaming run. The embedded Config supplies the
 // seed, mission options, MAC threshold, REM resolution and worker bound;
@@ -58,15 +49,11 @@ type StreamConfig struct {
 	// MaxHistory bounds the store's retained snapshot history
 	// (≤ 0 means remstore.DefaultMaxHistory).
 	MaxHistory int
-	// Store, when set, receives the published snapshots instead of a
-	// freshly created store — so clients can query the store while the
-	// stream is still running (MaxHistory is then ignored). Monolithic
-	// mode only; incompatible with Shards/Partitioner/ShardStore.
-	Store *remstore.Store
 	// OnWindow, when set, observes every published window in order —
-	// the live-serving hook (progress logs, query probes). Monolithic
-	// mode only; sharded streams report through OnShardWindow.
-	OnWindow func(WindowReport, *remstore.Snapshot)
+	// the live-serving hook (progress logs, query probes). A hook that
+	// needs the published snapshot reads it by rep.Version from the
+	// store OnStore handed out.
+	OnWindow func(WindowReport)
 
 	// Context, when set, cancels the stream between windows: the loop
 	// checks it before fitting each window and returns the result so
@@ -78,35 +65,27 @@ type StreamConfig struct {
 	// exists and before the first window publishes — the
 	// serve-while-streaming hook: an HTTP front (remserve) started here
 	// serves every generation from the very first publish. Exactly one
-	// of the two arguments is non-nil, matching the stream mode.
+	// of the two arguments is non-nil: the sharded store when Shards or
+	// Partitioner is set, the lone shard's plain store otherwise.
 	OnStore func(*remstore.Store, *remshard.ShardedStore)
 
 	// Shards > 0 streams into a sharded store instead of a single
-	// monolithic one: the key vocabulary is partitioned across that many
+	// plain one: the key vocabulary is partitioned across that many
 	// independent stores, each window's dirty-key set is grouped by
 	// shard, and only the affected shards rebuild and publish —
 	// concurrently, within the Workers bound. Every query answers
-	// byte-identically to the monolithic stream (determinism contract
+	// byte-identically to the 1-shard stream (determinism contract
 	// rule 8), so sharding is purely an availability/parallelism choice.
 	Shards int
-	// Partitioner routes keys to shards in sharded mode; nil means
-	// remshard.HashByKey. Setting it (or ShardStore) implies sharded
-	// mode even when Shards is 0.
+	// Partitioner routes keys to shards; nil means remshard.HashByKey.
+	// Setting it implies sharded mode even when Shards is 0.
 	Partitioner remshard.Partitioner
-	// ShardStore, when set, receives the sharded publishes instead of a
-	// freshly created store — the sharded analogue of Store. Its
-	// vocabulary and geometry must match the preprocessed dataset and
-	// the configured resolution.
-	ShardStore *remshard.ShardedStore
-	// OnShardWindow observes every sharded window in order — the
-	// sharded analogue of OnWindow.
-	OnShardWindow func(WindowReport, remshard.Round)
 
 	// Observer, when set, instruments the stream: per-window stage
 	// latencies (Observe/Refit/rebuild), generation events with
-	// dirty-key counts, and — wired through to the sink store — publish
-	// and cover-index timings. Nil is the no-op and costs nothing on
-	// the query path.
+	// dirty-key counts, and — wired through to the store OnStore hands
+	// out — publish and cover-index timings. Nil is the no-op and costs
+	// nothing on the query path.
 	Observer *remobs.Observer
 }
 
@@ -147,11 +126,11 @@ type WindowReport struct {
 	// affected shards publish, so untouched shards' tiles — still
 	// serving, never copied — are not part of this count.
 	SharedTiles int
-	// Version is the published snapshot's store version; in sharded
-	// mode, the rebuild-round sequence number. Both equal window+1.
+	// Version is the generation: the rebuild-round sequence number,
+	// window+1. Without sharding it is also the published snapshot's
+	// store version.
 	Version uint64
-	// Shards is how many shards rebuilt and published this window
-	// (0 in monolithic mode).
+	// Shards is how many shards rebuilt and published this window.
 	Shards int
 }
 
@@ -161,8 +140,8 @@ type StreamResult struct {
 	// generation. Nil in sharded mode — see Sharded.
 	Store *remstore.Store
 	// Sharded serves the published snapshots in sharded mode;
-	// Sharded.MergedSnapshot() is the final monolithic view. Nil in
-	// monolithic mode.
+	// Sharded.MergedSnapshot() is the final monolithic view. Nil
+	// without sharding options — see Store.
 	Sharded *remshard.ShardedStore
 	// Windows are the per-window reports, in publish order.
 	Windows []WindowReport
@@ -175,7 +154,7 @@ type StreamResult struct {
 	Pre *dataset.Preprocessed
 	// Estimator is the served incremental estimator, left fitted on every
 	// streamed row — callers can keep the stream going (Observe → Refit →
-	// RebuildKeys → Publish) after RunStream returns.
+	// Rebuild) after RunStream returns.
 	Estimator ml.IncrementalEstimator
 }
 
@@ -194,82 +173,30 @@ func RunStream(cfg StreamConfig) (*StreamResult, error) {
 }
 
 // RunStreamWithDataset streams an existing dataset through the
-// incremental pipeline: fit the estimator on the first window, then per
-// window Observe → Refit → RebuildKeys → Publish. After every publish,
-// the served snapshot is byte-identical to a from-scratch build against a
-// fresh estimator fitted on all rows so far (determinism contract rule 7;
-// exact for the kNN family and the baseline, pinned at full-retrain
-// numerics for the NN), for any worker count.
+// generation loop: window 0 fits the estimator (generation 0), every
+// later window runs Observe → Refit → Rebuild. After every publish, the
+// served snapshot is byte-identical to a from-scratch build against a
+// fresh estimator fitted on all rows so far (determinism contract rule
+// 7; exact for the kNN family and the baseline, pinned at full-retrain
+// numerics for the NN), for any worker count and any shard count.
 func RunStreamWithDataset(cfg StreamConfig, data *dataset.Dataset, report *mission.Report) (*StreamResult, error) {
-	if data == nil || data.Len() == 0 {
-		return nil, errors.New("core: empty dataset")
-	}
-	if cfg.MinSamplesPerMAC < 1 {
-		return nil, errors.New("core: MinSamplesPerMAC must be ≥1")
-	}
-	if cfg.REMResolution[0] < 1 || cfg.REMResolution[1] < 1 || cfg.REMResolution[2] < 1 {
-		return nil, fmt.Errorf("core: streaming needs a positive REM resolution, got %v", cfg.REMResolution)
-	}
-	pre, err := dataset.Preprocess(data, cfg.MinSamplesPerMAC)
+	g, err := newGenerator(cfg.Config, cfg.Spec, data, remshard.Config{
+		Shards: cfg.Shards, Partitioner: cfg.Partitioner, MaxHistory: cfg.MaxHistory,
+	}, cfg.Observer)
 	if err != nil {
 		return nil, err
 	}
-	spec := DefaultStreamSpec()
-	if cfg.Spec != nil {
-		spec = *cfg.Spec
+	res := &StreamResult{Data: data, Report: report, Pre: g.pre, Estimator: g.inc}
+	res.Store, res.Sharded = g.edge()
+	if cfg.OnStore != nil {
+		cfg.OnStore(res.Store, res.Sharded)
 	}
-	est, err := spec.Build()
-	if err != nil {
-		return nil, fmt.Errorf("core: building %s: %w", spec.Name, err)
-	}
-	inc := ml.NewRefitAdapter(est)
-	allX, allY := pre.DesignMatrix(spec.Features)
+	allX, allY := g.pre.DesignMatrix(g.spec.Features)
 	rows := len(allX)
 	win := cfg.WindowRows
 	if win <= 0 {
 		win = (rows + 3) / 4
 	}
-	predict := BatchPredictorFor(inc, pre.FeatureDim(spec.Features), spec.Features.OneHotMACScale)
-	opts := rem.BuildOptions{Workers: cfg.Workers}
-	vol := geom.PaperScanVolume()
-	nKeys := len(pre.MACs)
-	res := &StreamResult{
-		Data:      data,
-		Report:    report,
-		Pre:       pre,
-		Estimator: inc,
-	}
-	sharded := cfg.Shards > 0 || cfg.Partitioner != nil || cfg.ShardStore != nil
-	if sharded {
-		if cfg.Store != nil {
-			return nil, errors.New("core: Store is the monolithic sink; sharded streams publish into ShardStore")
-		}
-		if cfg.OnWindow != nil {
-			return nil, errors.New("core: OnWindow is the monolithic hook; sharded streams report through OnShardWindow")
-		}
-		if res.Sharded, err = shardStoreFor(cfg, pre.MACs, vol); err != nil {
-			return nil, err
-		}
-	} else {
-		if cfg.OnShardWindow != nil {
-			return nil, errors.New("core: OnShardWindow reports sharded streams; set Shards (or stay with OnWindow)")
-		}
-		res.Store = cfg.Store
-		if res.Store == nil {
-			res.Store = remstore.New(cfg.MaxHistory)
-		}
-	}
-	o := newGenObs(cfg.Observer)
-	if sharded {
-		res.Sharded.SetObserver(cfg.Observer)
-	} else {
-		res.Store.SetObserver(cfg.Observer)
-	}
-	if cfg.OnStore != nil {
-		cfg.OnStore(res.Store, res.Sharded)
-	}
-	first := true
-	var cur *rem.Map
 	for start, w := 0, 0; start < rows; start, w = start+win, w+1 {
 		if cfg.Context != nil {
 			if err := cfg.Context.Err(); err != nil {
@@ -280,149 +207,23 @@ func RunStreamWithDataset(cfg StreamConfig, data *dataset.Dataset, report *missi
 			}
 		}
 		end := min(start+win, rows)
-		winStart := time.Now()
-		var dirty []int
-		var observeD, refitD time.Duration
-		if first {
-			// The bootstrap Fit is the refit stage of window 0.
-			t := time.Now()
-			if err := inc.Fit(allX[:end], allY[:end]); err != nil {
-				return nil, fmt.Errorf("core: fitting %s on window 0: %w", spec.Name, err)
-			}
-			refitD = time.Since(t)
-		} else {
-			t := time.Now()
-			if dirty, err = inc.Observe(allX[start:end], allY[start:end]); err != nil {
-				return nil, fmt.Errorf("core: observing window %d: %w", w, err)
-			}
-			observeD = time.Since(t)
-			t = time.Now()
-			if err := inc.Refit(); err != nil {
-				return nil, fmt.Errorf("core: refitting after window %d: %w", w, err)
-			}
-			refitD = time.Since(t)
+		round, err := g.step(allX[start:end], allY[start:end], "window", fmt.Sprintf("window=%d", w))
+		if err != nil {
+			return nil, fmt.Errorf("core: window %d: %w", w, err)
 		}
-		dirtyKeys := resolveDirty(dirty, nKeys, first)
 		rep := WindowReport{
-			Window:    w,
-			NewRows:   end - start,
-			TotalRows: end,
-			DirtyKeys: len(dirtyKeys),
+			Window:      w,
+			NewRows:     end - start,
+			TotalRows:   end,
+			DirtyKeys:   round.DirtyKeys,
+			SharedTiles: round.SharedTiles,
+			Version:     round.Seq,
+			Shards:      round.AffectedShards,
 		}
-		if sharded {
-			// The window's dirty set, grouped by shard: only the
-			// affected shards re-rasterise and publish, concurrently on
-			// the worker pool. Rebuild covers rasterise AND publish, so
-			// the rebuild stage absorbs both here.
-			t := time.Now()
-			round, err := res.Sharded.Rebuild(dirtyKeys, predict, opts)
-			if err != nil {
-				return nil, fmt.Errorf("core: rasterising window %d: %w", w, err)
-			}
-			o.markStages(observeD, refitD, time.Since(t))
-			rep.SharedTiles = round.SharedTiles
-			rep.Version = round.Seq
-			rep.Shards = round.AffectedShards
-			res.Windows = append(res.Windows, rep)
-			o.markGeneration("window", rep.NewRows, rep.DirtyKeys, rep.SharedTiles,
-				time.Since(winStart), fmt.Sprintf("window=%d version=%d shards=%d", w, rep.Version, rep.Shards))
-			if cfg.OnShardWindow != nil {
-				cfg.OnShardWindow(rep, round)
-			}
-		} else {
-			t := time.Now()
-			next, err := rebuild(cur, vol, cfg.REMResolution, pre.MACs, dirtyKeys, predict, opts)
-			if err != nil {
-				return nil, fmt.Errorf("core: rasterising window %d: %w", w, err)
-			}
-			rebuildD := time.Since(t)
-			snap, err := res.Store.Publish(next, len(dirtyKeys))
-			if err != nil {
-				return nil, err
-			}
-			o.markStages(observeD, refitD, rebuildD)
-			_, shared := snap.BuildStats() // computed once by Publish
-			rep.SharedTiles = shared
-			rep.Version = snap.Version()
-			res.Windows = append(res.Windows, rep)
-			o.markGeneration("window", rep.NewRows, rep.DirtyKeys, rep.SharedTiles,
-				time.Since(winStart), fmt.Sprintf("window=%d version=%d", w, rep.Version))
-			if cfg.OnWindow != nil {
-				cfg.OnWindow(rep, snap)
-			}
-			cur = next
+		res.Windows = append(res.Windows, rep)
+		if cfg.OnWindow != nil {
+			cfg.OnWindow(rep)
 		}
-		first = false
 	}
 	return res, nil
-}
-
-// shardStoreFor resolves the sharded sink: the caller's ShardStore when
-// set (validated against the dataset's vocabulary and the configured
-// geometry, so a store built for a different mission cannot silently
-// serve this one), a freshly partitioned one otherwise.
-func shardStoreFor(cfg StreamConfig, macs []string, vol geom.Cuboid) (*remshard.ShardedStore, error) {
-	if st := cfg.ShardStore; st != nil {
-		// The store owns its layout; a conflicting Shards/Partitioner
-		// request would be silently ignored, so reject it instead.
-		if cfg.Shards > 0 && cfg.Shards != st.NumShards() {
-			return nil, fmt.Errorf("core: ShardStore has %d shards, Shards asks for %d", st.NumShards(), cfg.Shards)
-		}
-		if cfg.Partitioner != nil {
-			return nil, errors.New("core: ShardStore already fixed its partitioning; Partitioner only applies to a store the stream creates")
-		}
-		keys := st.Keys()
-		if len(keys) != len(macs) {
-			return nil, fmt.Errorf("core: ShardStore serves %d keys, dataset has %d", len(keys), len(macs))
-		}
-		for i, k := range keys {
-			if macs[i] != k {
-				return nil, fmt.Errorf("core: ShardStore key %d is %q, dataset has %q", i, k, macs[i])
-			}
-		}
-		if got := st.Resolution(); got != cfg.REMResolution {
-			return nil, fmt.Errorf("core: ShardStore resolution %v does not match configured %v", got, cfg.REMResolution)
-		}
-		if got := st.Volume(); got != vol {
-			return nil, fmt.Errorf("core: ShardStore volume %v–%v does not match the scan volume %v–%v", got.Min, got.Max, vol.Min, vol.Max)
-		}
-		return st, nil
-	}
-	return remshard.New(macs, remshard.Config{
-		Shards:      cfg.Shards,
-		Partitioner: cfg.Partitioner,
-		Volume:      vol,
-		Resolution:  cfg.REMResolution,
-		MaxHistory:  cfg.MaxHistory,
-	})
-}
-
-// resolveDirty turns an estimator's dirty report into an explicit key
-// list: the full vocabulary on the first window or when the estimator
-// reports ml.DirtyAll, the listed keys otherwise.
-func resolveDirty(dirty []int, nKeys int, first bool) []int {
-	all := first
-	for _, k := range dirty {
-		if k == ml.DirtyAll {
-			all = true
-			break
-		}
-	}
-	if all {
-		out := make([]int, nKeys)
-		for i := range out {
-			out[i] = i
-		}
-		return out
-	}
-	return dirty
-}
-
-// rebuild rasterises the next generation: a from-scratch build for the
-// first window, an incremental tile-sharing rebuild afterwards.
-func rebuild(cur *rem.Map, vol geom.Cuboid, res [3]int, keys []string, dirty []int, predict rem.BatchPredictFunc, opts rem.BuildOptions) (*rem.Map, error) {
-	if cur == nil {
-		return rem.BuildMapBatch(vol, res[0], res[1], res[2], keys, predict, opts)
-	}
-	return cur.RebuildKeys(dirty, predict, opts)
 }

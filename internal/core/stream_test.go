@@ -135,8 +135,10 @@ func TestRunStreamSnapshotIdentity(t *testing.T) {
 				snap *remstore.Snapshot
 			}
 			var pubs []published
-			cfg.OnWindow = func(rep WindowReport, snap *remstore.Snapshot) {
-				pubs = append(pubs, published{rep, snap})
+			var store *remstore.Store
+			cfg.OnStore = func(st *remstore.Store, _ *remshard.ShardedStore) { store = st }
+			cfg.OnWindow = func(rep WindowReport) {
+				pubs = append(pubs, published{rep, store.SnapshotAt(rep.Version)})
 			}
 			res, err := RunStreamWithDataset(cfg, data, nil)
 			if err != nil {
@@ -244,10 +246,10 @@ func TestRunStreamShardedEquivalence(t *testing.T) {
 				cfg := streamCfg(nil, 4)
 				cfg.Shards = shards
 				cfg.Partitioner = p
-				var rounds []remshard.Round
-				cfg.OnShardWindow = func(rep WindowReport, round remshard.Round) {
-					rounds = append(rounds, round)
-				}
+				var sink *remshard.ShardedStore
+				var rounds []uint64
+				cfg.OnStore = func(_ *remstore.Store, ss *remshard.ShardedStore) { sink = ss }
+				cfg.OnWindow = func(WindowReport) { rounds = append(rounds, sink.Rounds()) }
 				sh, err := RunStreamWithDataset(cfg, data, nil)
 				if err != nil {
 					t.Fatal(err)
@@ -263,8 +265,8 @@ func TestRunStreamShardedEquivalence(t *testing.T) {
 					if w.DirtyKeys != mw.DirtyKeys || w.Version != mw.Version || w.NewRows != mw.NewRows {
 						t.Fatalf("window %d: sharded %+v, monolithic %+v", i, w, mw)
 					}
-					if w.Shards < 1 || rounds[i].Seq != w.Version {
-						t.Fatalf("window %d: round %+v for report %+v", i, rounds[i], w)
+					if w.Shards < 1 || rounds[i] != w.Version {
+						t.Fatalf("window %d: round %d for report %+v", i, rounds[i], w)
 					}
 				}
 				merged, err := sh.Sharded.MergedSnapshot()
@@ -309,79 +311,6 @@ func TestRunStreamShardedEquivalence(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// TestRunStreamShardedPrebuiltStore: a caller-owned sharded store is
-// used when compatible and rejected when its vocabulary or geometry
-// differs.
-func TestRunStreamShardedPrebuiltStore(t *testing.T) {
-	data := streamDataset()
-	cfg := streamCfg(nil, 1)
-	mono, err := RunStreamWithDataset(cfg, data, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	macs := mono.Pre.MACs
-	mk := func(res [3]int, keys []string) *remshard.ShardedStore {
-		st, err := remshard.New(keys, remshard.Config{
-			Shards: 2, Volume: geom.PaperScanVolume(), Resolution: res,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st
-	}
-	good := mk(cfg.REMResolution, macs)
-	cfg.ShardStore = good
-	res, err := RunStreamWithDataset(cfg, data, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Sharded != good {
-		t.Fatal("caller-owned sharded store not used")
-	}
-	if got := good.Rounds(); got != uint64(len(res.Windows)) {
-		t.Fatalf("store saw %d rounds for %d windows", got, len(res.Windows))
-	}
-	cfg.ShardStore = mk([3]int{5, 5, 5}, macs)
-	if _, err := RunStreamWithDataset(cfg, data, nil); err == nil {
-		t.Fatal("resolution mismatch accepted")
-	}
-	cfg.ShardStore = mk(cfg.REMResolution, []string{"zz:99", "zz:98", "zz:97", "zz:96"})
-	if _, err := RunStreamWithDataset(cfg, data, nil); err == nil {
-		t.Fatal("vocabulary mismatch accepted")
-	}
-	// A ShardStore fixes its own layout: conflicting Shards/Partitioner
-	// requests are rejected rather than silently ignored.
-	cfg.ShardStore = mk(cfg.REMResolution, macs)
-	cfg.Shards = 8 // store has 2
-	if _, err := RunStreamWithDataset(cfg, data, nil); err == nil {
-		t.Fatal("shard-count conflict accepted")
-	}
-	cfg.Shards = 0
-	cfg.Partitioner = remshard.HashByKey{}
-	if _, err := RunStreamWithDataset(cfg, data, nil); err == nil {
-		t.Fatal("Partitioner alongside ShardStore accepted")
-	}
-	cfg.Partitioner = nil
-	// Conflicting monolithic/sharded options are rejected loudly.
-	cfg = streamCfg(nil, 1)
-	cfg.Shards = 2
-	cfg.Store = remstore.New(0)
-	if _, err := RunStreamWithDataset(cfg, data, nil); err == nil {
-		t.Fatal("Store + Shards accepted")
-	}
-	cfg = streamCfg(nil, 1)
-	cfg.Shards = 2
-	cfg.OnWindow = func(WindowReport, *remstore.Snapshot) {}
-	if _, err := RunStreamWithDataset(cfg, data, nil); err == nil {
-		t.Fatal("OnWindow + Shards accepted")
-	}
-	cfg = streamCfg(nil, 1)
-	cfg.OnShardWindow = func(WindowReport, remshard.Round) {}
-	if _, err := RunStreamWithDataset(cfg, data, nil); err == nil {
-		t.Fatal("OnShardWindow without Shards accepted")
 	}
 }
 
@@ -445,7 +374,7 @@ func TestRunStreamCancellation(t *testing.T) {
 	cfg := streamCfg(nil, 1)
 	cfg.Context = ctx
 	published := 0
-	cfg.OnWindow = func(rep WindowReport, _ *remstore.Snapshot) {
+	cfg.OnWindow = func(rep WindowReport) {
 		published++
 		if rep.Window == 0 {
 			cancel() // stop after the first publish; window 1 must not run
@@ -474,48 +403,5 @@ func TestRunStreamCancellation(t *testing.T) {
 	}
 	if res == nil || len(res.Windows) != 0 {
 		t.Fatal("pre-cancelled stream must return an empty partial result")
-	}
-}
-
-// TestRunStreamOnStore pins the serve-while-streaming hook: it fires
-// exactly once, before the first publish, with the mode-matching sink —
-// so an HTTP front started there observes every generation from v1.
-func TestRunStreamOnStore(t *testing.T) {
-	data := streamDataset()
-	for _, shards := range []int{0, 2} {
-		cfg := streamCfg(nil, 1)
-		cfg.Shards = shards
-		calls := 0
-		sawEmpty := false
-		cfg.OnStore = func(st *remstore.Store, ss *remshard.ShardedStore) {
-			calls++
-			if shards > 0 {
-				if st != nil || ss == nil {
-					t.Fatalf("sharded OnStore got (store %v, sharded %v)", st != nil, ss != nil)
-				}
-				sawEmpty = ss.StoreOf(0).Current() == nil && ss.StoreOf(1).Current() == nil
-			} else {
-				if st == nil || ss != nil {
-					t.Fatalf("monolithic OnStore got (store %v, sharded %v)", st != nil, ss != nil)
-				}
-				sawEmpty = st.Current() == nil
-			}
-		}
-		if shards > 0 {
-			cfg.OnWindow = nil
-		}
-		res, err := RunStreamWithDataset(cfg, data, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if calls != 1 {
-			t.Fatalf("OnStore fired %d times, want 1", calls)
-		}
-		if !sawEmpty {
-			t.Fatal("OnStore fired after the first publish")
-		}
-		if shards > 0 && res.Sharded == nil || shards == 0 && res.Store == nil {
-			t.Fatal("result sink does not match the hooked one")
-		}
 	}
 }

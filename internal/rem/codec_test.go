@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/geom"
@@ -103,41 +104,43 @@ func TestCodecRejectsTruncation(t *testing.T) {
 	}
 }
 
-// TestCodecRejectsCorruptHeaders: bad magic, bad format version, and
-// oversized dimensions are all refused before any large allocation.
+// TestCodecRejectsCorruptHeaders: bad magic, an unsupported format
+// version, and oversized or non-finite dimensions are all refused
+// before any large allocation.
 func TestCodecRejectsCorruptHeaders(t *testing.T) {
 	m := randomMap(t, simrand.New(9))
 	var buf bytes.Buffer
 	if _, err := m.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	corrupt := func(mutate func(b []byte)) error {
-		b := append([]byte(nil), buf.Bytes()...)
-		mutate(b)
-		_, err := ReadFrom(bytes.NewReader(b))
-		return err
+	enc := buf.Bytes()
+	rows := []struct {
+		name    string
+		mutate  func(b []byte) []byte
+		wantErr string
+	}{
+		{"bad magic", func(b []byte) []byte { b[0] = 'X'; return b }, "bad magic"},
+		{"bad format version", func(b []byte) []byte { b[4] = 99; return b }, "unsupported format version 99"},
+		{"oversized nx", func(b []byte) []byte { // nx field, after magic+ver+6 float64s
+			off := 4 + 4 + 6*8
+			for i := 0; i < 4; i++ {
+				b[off+i] = 0xff
+			}
+			return b
+		}, "resolution"},
+		{"NaN volume bound", func(b []byte) []byte { // Min.X → NaN
+			off := 4 + 4
+			for i := 0; i < 8; i++ {
+				b[off+i] = 0xff
+			}
+			return b
+		}, ""},
 	}
-	if err := corrupt(func(b []byte) { b[0] = 'X' }); err == nil {
-		t.Error("bad magic accepted")
-	}
-	if err := corrupt(func(b []byte) { b[4] = 99 }); err == nil {
-		t.Error("bad format version accepted")
-	}
-	if err := corrupt(func(b []byte) { // nx field, after magic+ver+6 float64s
-		off := 4 + 4 + 6*8
-		for i := 0; i < 4; i++ {
-			b[off+i] = 0xff
+	for _, row := range rows {
+		_, err := ReadFrom(bytes.NewReader(row.mutate(append([]byte(nil), enc...))))
+		if err == nil || !strings.Contains(err.Error(), row.wantErr) {
+			t.Errorf("%s: ReadFrom error %v, want one containing %q", row.name, err, row.wantErr)
 		}
-	}); err == nil {
-		t.Error("oversized nx accepted")
-	}
-	if err := corrupt(func(b []byte) { // Min.X → NaN
-		off := 4 + 4
-		for i := 0; i < 8; i++ {
-			b[off+i] = 0xff
-		}
-	}); err == nil {
-		t.Error("NaN volume bound accepted")
 	}
 }
 
@@ -163,8 +166,8 @@ func TestCodecChecksumCatchesBitFlips(t *testing.T) {
 }
 
 // TestCodecReadsVersion1: a pre-trailer stream (format version 1, no
-// CRC) still loads — snapshots persisted before the version bump stay
-// readable across the upgrade.
+// CRC) is refused as an unsupported format version — it carries no
+// integrity check, and nothing has written it since the trailer landed.
 func TestCodecReadsVersion1(t *testing.T) {
 	m := randomMap(t, simrand.New(17))
 	var buf bytes.Buffer
@@ -175,18 +178,12 @@ func TestCodecReadsVersion1(t *testing.T) {
 	// bytes the old encoder produced.
 	v1 := append([]byte(nil), buf.Bytes()[:buf.Len()-4]...)
 	PutU32(v1[4:], 1)
-	got, err := ReadFrom(bytes.NewReader(v1))
-	if err != nil {
-		t.Fatalf("version-1 stream rejected: %v", err)
-	}
-	if !got.Equal(m) || got.Version() != m.Version() {
-		t.Fatal("version-1 stream decoded differently")
-	}
-	// And a version-1 stream with trailing garbage appended decodes too:
-	// ReadFrom reads exactly the declared layout (the old reader's
-	// behaviour, preserved).
-	if _, err := ReadFrom(bytes.NewReader(append(v1, 0xEE))); err != nil {
-		t.Fatalf("version-1 stream with trailing bytes rejected: %v", err)
+	const want = "unsupported format version 1"
+	for _, b := range [][]byte{v1, append(v1, 0xEE)} {
+		_, err := ReadFrom(bytes.NewReader(b))
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("version-1 stream (%d bytes): ReadFrom error %v, want one containing %q", len(b), err, want)
+		}
 	}
 }
 

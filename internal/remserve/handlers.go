@@ -638,28 +638,20 @@ func etagMatch(header, etag string) bool {
 	return false
 }
 
-// handleStats serves GET /stats (cold path, encoding/json). The stable
-// schema is the "store" object: every backend flavour nests its
-// aggregate counters under the same key, mirroring the follower's
-// {"sync","store"} document, so a scraper reads .store.queries without
-// caring which binary answered. The legacy flat copy of the same
-// fields is spliced in alongside for one release — see the deprecation
-// note in DESIGN.md's Observability section.
+// handleStats serves GET /stats (cold path, encoding/json) as
+// {"store":{…}}: every backend flavour nests its aggregate counters
+// under the same key, mirroring the follower's {"sync","store"}
+// document, so a scraper reads .store.queries without caring which
+// binary answered.
 func (s *Server) handleStats(w http.ResponseWriter) {
-	body, err := json.Marshal(s.b.Stats())
+	body, err := json.Marshal(struct {
+		Store Stats `json:"store"`
+	}{s.b.Stats()})
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	// {"store":{…},…flat copy…}\n — body is "{…}", so its interior
-	// (body[1:]) supplies the deprecated top-level fields verbatim.
-	out := make([]byte, 0, 2*len(body)+len(`{"store":,`)+1)
-	out = append(out, `{"store":`...)
-	out = append(out, body...)
-	out = append(out, ',')
-	out = append(out, body[1:]...)
-	out = append(out, '\n')
-	writeJSON(w, out)
+	writeJSON(w, append(body, '\n'))
 }
 
 // handleHealthz serves GET /healthz: 200 {"status":"serving",…} once

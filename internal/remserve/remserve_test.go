@@ -157,7 +157,8 @@ func TestRule8OverTheWire(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantVals, wantVer, err := ss.AtBatch(key, pts)
+			wantVals := make([]float64, len(pts))
+			wantVer, err := ss.AtBatchInto(wantVals, key, pts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -236,14 +237,13 @@ func TestRule8OverTheWire(t *testing.T) {
 			}
 
 			// Stats ≡ the marshalled backend stats, nested under the
-			// stable "store" key with the legacy flat copy alongside
-			// (counters quiesced: no requests in flight between the two
-			// reads).
+			// "store" key and nothing else (counters quiesced: no
+			// requests in flight between the two reads).
 			raw, err := json.Marshal(ShardedBackend(ss).Stats())
 			if err != nil {
 				t.Fatal(err)
 			}
-			expStats := `{"store":` + string(raw) + `,` + string(raw[1:])
+			expStats := `{"store":` + string(raw) + `}`
 			status, _, body = get(t, srv.URL+"/stats")
 			if status != http.StatusOK {
 				t.Fatalf("GET /stats: status %d", status)
@@ -479,11 +479,13 @@ func TestHammerUnderRebuilds(t *testing.T) {
 						t.Error(err)
 						return
 					}
-					var st Stats
-					err = json.NewDecoder(r.Body).Decode(&st)
+					var doc struct {
+						Store Stats `json:"store"`
+					}
+					err = json.NewDecoder(r.Body).Decode(&doc)
 					r.Body.Close()
-					if err != nil || st.Shards != 4 {
-						t.Errorf("GET /stats: %v (shards %d)", err, st.Shards)
+					if err != nil || doc.Store.Shards != 4 {
+						t.Errorf("GET /stats: %v (shards %d)", err, doc.Store.Shards)
 						return
 					}
 				case 9:

@@ -43,7 +43,7 @@ func postBody(t testing.TB, url, contentType, accept, body string) (int, http.He
 
 // TestStrongestBatchRule8 pins the batch best-server endpoint across
 // shard counts 1, 2 and 4: the JSON response renders exactly the keys
-// and value bits StrongestBatch returns (which rule 8 ties to the
+// and value bits StrongestBatchInto returns (which rule 8 ties to the
 // monolithic map), the binary "REMW" response decodes to the identical
 // keys and bit-identical values, and all four codec pairings agree.
 func TestStrongestBatchRule8(t *testing.T) {
@@ -54,8 +54,8 @@ func TestStrongestBatchRule8(t *testing.T) {
 			defer srv.Close()
 
 			pts := testPoints()
-			wantKeys, wantVals, err := ss.StrongestBatch(pts)
-			if err != nil {
+			wantKeys, wantVals := make([]string, len(pts)), make([]float64, len(pts))
+			if err := ss.StrongestBatchInto(wantKeys, wantVals, pts); err != nil {
 				t.Fatal(err)
 			}
 			for i, p := range pts {

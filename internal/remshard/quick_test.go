@@ -127,6 +127,7 @@ func TestShardedConcurrentHammer(t *testing.T) {
 			defer wg.Done()
 			rng := simrand.New(uint64(1000 + r))
 			buf := make([]float64, len(probes))
+			bestKeys := make([]string, len(probes))
 			for i := 0; ; i++ {
 				select {
 				case <-stop:
@@ -134,29 +135,24 @@ func TestShardedConcurrentHammer(t *testing.T) {
 				default:
 				}
 				key := keys[rng.Intn(nKeys)]
-				switch i % 5 {
+				switch i % 4 {
 				case 0:
 					if _, _, err := st.At(key, probes[i%len(probes)]); err != nil {
 						errs <- err
 						return
 					}
 				case 1:
-					if _, _, err := st.AtBatch(key, probes); err != nil {
-						errs <- err
-						return
-					}
-				case 2:
 					if _, err := st.AtBatchInto(buf, key, probes); err != nil {
 						errs <- err
 						return
 					}
-				case 3:
+				case 2:
 					if _, _, _, err := st.Strongest(probes[i%len(probes)]); err != nil {
 						errs <- err
 						return
 					}
 				default:
-					if _, _, err := st.StrongestBatch(probes); err != nil {
+					if err := st.StrongestBatchInto(bestKeys, buf, probes); err != nil {
 						errs <- err
 						return
 					}

@@ -215,7 +215,11 @@ type Round struct {
 // shard, each affected shard derives its next generation — RebuildKeys
 // against its current snapshot, or a full build the first time — and
 // publishes independently, so untouched shards' serving snapshots are
-// never replaced, not even with a cheap alias. predict answers by global
+// never replaced, not even with a cheap alias. The one exception is an
+// empty dirty set: the round still counts as a generation, and every
+// shard that owns keys republishes its map with every tile shared — a
+// 1-shard store then publishes exactly once per round, like a plain
+// store fed one snapshot per generation. predict answers by global
 // key index (the same contract core.BatchPredictorFor produces); it must
 // be safe for concurrent use. The worker budget is split across the
 // affected shards, and any split produces byte-identical shard maps.
@@ -263,9 +267,13 @@ func (s *ShardedStore) Rebuild(dirty []int, predict rem.BatchPredictFunc, opts r
 			add(gi)
 		}
 	}
+	// An empty dirty set is still a generation: every keyed shard
+	// republishes its current map with every tile shared, so a 1-shard
+	// store numbers rounds exactly like a plain store publishing once
+	// per generation.
 	var affected []int
 	for si, l := range local {
-		if len(l) > 0 {
+		if len(l) > 0 || resolved == 0 && len(s.shards[si].keys) > 0 {
 			affected = append(affected, si)
 		}
 	}
@@ -274,10 +282,6 @@ func (s *ShardedStore) Rebuild(dirty []int, predict rem.BatchPredictFunc, opts r
 		DirtyKeys:      resolved,
 		AffectedShards: len(affected),
 		Versions:       make([]uint64, len(s.shards)),
-	}
-	if len(affected) == 0 {
-		s.observeRebuild(round, time.Since(start))
-		return round, nil
 	}
 	// Split the worker budget across the affected shards: outer×inner ≈
 	// the requested bound, and any split yields byte-identical maps.
@@ -360,19 +364,18 @@ func (s *ShardedStore) At(key string, p geom.Vec3) (float64, uint64, error) {
 
 // AtBatch answers a multi-point query for one key: routed once, served
 // by one snapshot of the owning shard. Each point counts as one query.
+// It allocates the result; serving paths use AtBatchInto.
 func (s *ShardedStore) AtBatch(key string, pts []geom.Vec3) ([]float64, uint64, error) {
-	sh, err := s.route(key)
+	out := make([]float64, len(pts))
+	ver, err := s.AtBatchInto(out, key, pts)
 	if err != nil {
 		return nil, 0, err
 	}
-	out, ver, err := sh.store.AtBatch(key, pts)
-	if err == nil {
-		sh.logical.Add(uint64(len(pts)))
-	}
-	return out, ver, err
+	return out, ver, nil
 }
 
-// AtBatchInto is AtBatch into a caller-owned buffer (no allocation).
+// AtBatchInto is AtBatch into a caller-owned buffer — the
+// zero-allocation serving path.
 func (s *ShardedStore) AtBatchInto(dst []float64, key string, pts []geom.Vec3) (uint64, error) {
 	sh, err := s.route(key)
 	if err != nil {
@@ -433,20 +436,6 @@ func (s *ShardedStore) Strongest(p geom.Vec3) (string, float64, uint64, error) {
 	return bestKey, bestVal, bestVer, nil
 }
 
-// StrongestBatch answers a best-server query for every point: each
-// serving shard's snapshot is loaded once for the whole batch, then the
-// per-point winners merge under the global vocabulary order — element i
-// matches Strongest(pts[i]) exactly. Serving versions are per-shard; use
-// Strongest for a versioned answer.
-func (s *ShardedStore) StrongestBatch(pts []geom.Vec3) ([]string, []float64, error) {
-	keys := make([]string, len(pts))
-	vals := make([]float64, len(pts))
-	if err := s.StrongestBatchInto(keys, vals, pts); err != nil {
-		return nil, nil, err
-	}
-	return keys, vals, nil
-}
-
 // strongestScratch is the pooled working set of StrongestBatchInto: the
 // per-shard winner buffers, the global tie-break indices, each point's
 // winning shard and the per-shard logical-query tallies. Pooling keeps
@@ -475,9 +464,14 @@ func (sc *strongestScratch) grow(pts, shards int) {
 	sc.counts = sc.counts[:shards]
 }
 
-// StrongestBatchInto is StrongestBatch into caller-owned buffers — the
-// zero-allocation serving path behind POST /strongest on a sharded
-// backend. len(keys) and len(vals) must equal len(pts).
+// StrongestBatchInto answers a best-server query for every point into
+// caller-owned buffers — the zero-allocation serving path behind POST
+// /strongest on a sharded backend: each serving shard's snapshot is
+// loaded once for the whole batch, then the per-point winners merge
+// under the global vocabulary order, so element i matches
+// Strongest(pts[i]) exactly. Serving versions are per-shard; use
+// Strongest for a versioned answer. len(keys) and len(vals) must equal
+// len(pts).
 func (s *ShardedStore) StrongestBatchInto(keys []string, vals []float64, pts []geom.Vec3) error {
 	if len(keys) != len(pts) || len(vals) != len(pts) {
 		return fmt.Errorf("remshard: batch destinations hold %d keys / %d values for %d points", len(keys), len(vals), len(pts))

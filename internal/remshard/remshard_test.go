@@ -165,8 +165,18 @@ func (h *harness) checkEquivalence(probes []geom.Vec3) {
 	if !merged.Equal(h.monoMap) {
 		h.t.Fatal("merged sharded view differs from the monolithic map")
 	}
+	// Pointwise monolithic answers are the reference for every batch
+	// path on both stores.
+	n := len(probes)
+	wb, gb := make([]float64, n), make([]float64, n)
 	for _, key := range h.keys {
-		for _, p := range probes {
+		if _, err := h.mono.AtBatchInto(wb, key, probes); err != nil {
+			h.t.Fatal(err)
+		}
+		if _, err := h.sharded.AtBatchInto(gb, key, probes); err != nil {
+			h.t.Fatal(err)
+		}
+		for i, p := range probes {
 			wv, _, err := h.mono.At(key, p)
 			if err != nil {
 				h.t.Fatal(err)
@@ -178,9 +188,19 @@ func (h *harness) checkEquivalence(probes []geom.Vec3) {
 			if math.Float64bits(gv) != math.Float64bits(wv) {
 				h.t.Fatalf("At(%s, %v): sharded %v, monolithic %v", key, p, gv, wv)
 			}
+			if math.Float64bits(wb[i]) != math.Float64bits(wv) || math.Float64bits(gb[i]) != math.Float64bits(wv) {
+				h.t.Fatalf("AtBatchInto(%s)[%d]: monolithic %v, sharded %v, pointwise %v", key, i, wb[i], gb[i], wv)
+			}
 		}
 	}
-	for _, p := range probes {
+	wks, gks := make([]string, n), make([]string, n)
+	if _, err := h.mono.StrongestBatchInto(wks, wb, probes); err != nil {
+		h.t.Fatal(err)
+	}
+	if err := h.sharded.StrongestBatchInto(gks, gb, probes); err != nil {
+		h.t.Fatal(err)
+	}
+	for i, p := range probes {
 		wk, wv, _, err := h.mono.Strongest(p)
 		if err != nil {
 			h.t.Fatal(err)
@@ -192,33 +212,9 @@ func (h *harness) checkEquivalence(probes []geom.Vec3) {
 		if gk != wk || math.Float64bits(gv) != math.Float64bits(wv) {
 			h.t.Fatalf("Strongest(%v): sharded (%s, %v), monolithic (%s, %v)", p, gk, gv, wk, wv)
 		}
-	}
-	wk, wv, _, err := h.mono.StrongestBatch(probes)
-	if err != nil {
-		h.t.Fatal(err)
-	}
-	gk, gv, err := h.sharded.StrongestBatch(probes)
-	if err != nil {
-		h.t.Fatal(err)
-	}
-	for i := range probes {
-		if gk[i] != wk[i] || math.Float64bits(gv[i]) != math.Float64bits(wv[i]) {
-			h.t.Fatalf("StrongestBatch[%d]: sharded (%s, %v), monolithic (%s, %v)", i, gk[i], gv[i], wk[i], wv[i])
-		}
-	}
-	for _, key := range h.keys {
-		wb, _, err := h.mono.AtBatch(key, probes)
-		if err != nil {
-			h.t.Fatal(err)
-		}
-		gb, _, err := h.sharded.AtBatch(key, probes)
-		if err != nil {
-			h.t.Fatal(err)
-		}
-		for i := range probes {
-			if math.Float64bits(gb[i]) != math.Float64bits(wb[i]) {
-				h.t.Fatalf("AtBatch(%s)[%d]: sharded %v, monolithic %v", key, i, gb[i], wb[i])
-			}
+		if wks[i] != wk || gks[i] != wk || math.Float64bits(wb[i]) != math.Float64bits(wv) || math.Float64bits(gb[i]) != math.Float64bits(wv) {
+			h.t.Fatalf("StrongestBatchInto[%d]: monolithic (%s, %v), sharded (%s, %v), pointwise (%s, %v)",
+				i, wks[i], wb[i], gks[i], gb[i], wk, wv)
 		}
 	}
 }
@@ -264,6 +260,7 @@ func TestShardedQueryCounts(t *testing.T) {
 	h := newHarness(t, 5, HashByKey{}, 3)
 	h.round([]int{0, 1, 2, 3, 4})
 	probes := testProbes(9)
+	buf := make([]float64, len(probes))
 	for _, key := range h.keys {
 		if _, _, err := h.mono.At(key, probes[0]); err != nil {
 			t.Fatal(err)
@@ -271,10 +268,10 @@ func TestShardedQueryCounts(t *testing.T) {
 		if _, _, err := h.sharded.At(key, probes[0]); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := h.mono.AtBatch(key, probes); err != nil {
+		if _, err := h.mono.AtBatchInto(buf, key, probes); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := h.sharded.AtBatch(key, probes); err != nil {
+		if _, err := h.sharded.AtBatchInto(buf, key, probes); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -286,10 +283,11 @@ func TestShardedQueryCounts(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, _, _, err := h.mono.StrongestBatch(probes); err != nil {
+	keys := make([]string, len(probes))
+	if _, err := h.mono.StrongestBatchInto(keys, buf, probes); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := h.sharded.StrongestBatch(probes); err != nil {
+	if err := h.sharded.StrongestBatchInto(keys, buf, probes); err != nil {
 		t.Fatal(err)
 	}
 	monoQ := h.mono.Stats().Queries
@@ -379,8 +377,8 @@ func TestShardedEmpty(t *testing.T) {
 	if _, _, _, err := h.sharded.Strongest(geom.V(1, 1, 1)); !errors.Is(err, remstore.ErrEmpty) {
 		t.Fatalf("Strongest = %v, want ErrEmpty", err)
 	}
-	if _, _, err := h.sharded.StrongestBatch(testProbes(3)); !errors.Is(err, remstore.ErrEmpty) {
-		t.Fatalf("StrongestBatch = %v, want ErrEmpty", err)
+	if err := h.sharded.StrongestBatchInto(make([]string, 3), make([]float64, 3), testProbes(3)); !errors.Is(err, remstore.ErrEmpty) {
+		t.Fatalf("StrongestBatchInto = %v, want ErrEmpty", err)
 	}
 	if _, err := h.sharded.MergedSnapshot(); !errors.Is(err, remstore.ErrEmpty) {
 		t.Fatalf("MergedSnapshot = %v, want ErrEmpty", err)
@@ -434,13 +432,32 @@ func TestShardedValidation(t *testing.T) {
 	if _, ok := st.ShardFor("nope"); ok {
 		t.Fatal("unknown key has a shard")
 	}
-	// An empty dirty set is a no-op round.
+	// An empty dirty set is still a generation: every keyed shard
+	// republishes its map unchanged, every tile shared.
+	before := st.Stats()
 	r, err := st.Rebuild(nil, model.predict, rem.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.AffectedShards != 0 || r.DirtyKeys != 0 {
-		t.Fatalf("no-op round = %+v", r)
+	keyed := 0
+	for si := 0; si < st.NumShards(); si++ {
+		if st.ShardLen(si) == 0 {
+			if r.Versions[si] != 0 {
+				t.Fatalf("keyless shard %d published in round %+v", si, r)
+			}
+			continue
+		}
+		keyed++
+		cur := st.StoreOf(si).Current()
+		if r.Versions[si] != before.PerShard[si].CurrentVersion+1 || cur.Version() != r.Versions[si] {
+			t.Fatalf("shard %d: round %+v, serving v%d, was v%d", si, r, cur.Version(), before.PerShard[si].CurrentVersion)
+		}
+		if built, shared := cur.BuildStats(); built != 0 || shared != cur.Map().NumTiles() {
+			t.Fatalf("shard %d: empty round built %d keys, shared %d/%d tiles", si, built, shared, cur.Map().NumTiles())
+		}
+	}
+	if r.AffectedShards != keyed || r.DirtyKeys != 0 || r.BuiltKeys != 0 {
+		t.Fatalf("empty round = %+v, want %d shards republished", r, keyed)
 	}
 }
 

@@ -130,7 +130,7 @@ func New(maxHistory int) *Store {
 
 // SetCoverIndexing toggles publish-time coverage-index construction (on
 // by default). With it off, snapshots without an index serve
-// Strongest/StrongestBatch via the brute O(keys) scan — same results
+// Strongest/StrongestBatchInto via the brute O(keys) scan — same results
 // (rule 9), pre-index cost. Maps that already carry an index (a mended
 // RebuildKeys/ApplyDelta generation) keep it either way.
 func (st *Store) SetCoverIndexing(on bool) {
@@ -293,22 +293,12 @@ func (st *Store) At(key string, p geom.Vec3) (float64, uint64, error) {
 	return v, s.version, err
 }
 
-// AtBatch answers a multi-point query against the current snapshot: the
-// key is resolved once and every point is served by the same snapshot,
-// whose version is returned. Element i corresponds to pts[i] and is
-// bit-identical to At(key, pts[i]); each point counts as one query.
-func (st *Store) AtBatch(key string, pts []geom.Vec3) ([]float64, uint64, error) {
-	out := make([]float64, len(pts))
-	ver, err := st.AtBatchInto(out, key, pts)
-	if err != nil {
-		return nil, 0, err
-	}
-	return out, ver, nil
-}
-
-// AtBatchInto is AtBatch into a caller-owned buffer — the
-// zero-allocation serving path. len(dst) must equal len(pts). A failed
-// batch (unknown key, buffer mismatch) counts no queries.
+// AtBatchInto answers a multi-point query against the current snapshot
+// into a caller-owned buffer — the zero-allocation serving path. The key
+// is resolved once and every point is served by the same snapshot,
+// whose version is returned; dst[i] is bit-identical to At(key, pts[i]).
+// len(dst) must equal len(pts). Each point counts as one query; a
+// failed batch (unknown key, buffer mismatch) counts none.
 func (st *Store) AtBatchInto(dst []float64, key string, pts []geom.Vec3) (uint64, error) {
 	s := st.cur.Load()
 	if s == nil {
@@ -335,23 +325,12 @@ func (st *Store) Strongest(p geom.Vec3) (string, float64, uint64, error) {
 	return key, v, s.version, nil
 }
 
-// StrongestBatch answers a best-server query for every point against one
-// snapshot (whose version is returned): element i matches what
-// Strongest(pts[i]) would return. Each point counts as one query.
-func (st *Store) StrongestBatch(pts []geom.Vec3) ([]string, []float64, uint64, error) {
-	s := st.cur.Load()
-	if s == nil {
-		return nil, nil, 0, ErrEmpty
-	}
-	s.queries.Add(uint64(len(pts)))
-	st.queries.Add(uint64(len(pts)))
-	keys, vals := s.m.StrongestBatch(pts)
-	return keys, vals, s.version, nil
-}
-
-// StrongestBatchInto is StrongestBatch into caller-owned buffers — the
-// zero-allocation serving path behind POST /strongest. len(keys) and
-// len(vals) must equal len(pts). A failed batch counts no queries.
+// StrongestBatchInto answers a best-server query for every point
+// against one snapshot (whose version is returned), into caller-owned
+// buffers — the zero-allocation serving path behind POST /strongest.
+// Element i matches what Strongest(pts[i]) would return. len(keys) and
+// len(vals) must equal len(pts). Each point counts as one query; a
+// failed batch counts none.
 func (st *Store) StrongestBatchInto(keys []string, vals []float64, pts []geom.Vec3) (uint64, error) {
 	s := st.cur.Load()
 	if s == nil {
