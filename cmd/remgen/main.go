@@ -62,6 +62,9 @@
 //
 //	remgen -follow http://127.0.0.1:8080 -serve 127.0.0.1:8081 -poll 500ms -staleness 10s
 //
+// Each mode reads only its own flags: a flag the selected mode would
+// ignore is an error, and -h names the modes that read each flag.
+//
 // Every server mode takes -metrics (instrument the stack and expose
 // Prometheus text on GET /metrics of -serve), -pprof ADDR (a
 // net/http/pprof side listener) and -events N (a bounded in-memory ring
@@ -73,6 +76,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -104,86 +108,204 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "remgen:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	var (
-		seed      = flag.Uint64("seed", 1, "master seed for the simulated world")
-		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "worker-pool size for training, evaluation and REM rasterisation (results are identical for any value)")
-		out       = flag.String("o", "-", "REM CSV output path ('-' for stdout)")
-		res       = flag.String("res", "12x10x6", "REM grid resolution as NXxNYxNZ")
-		extended  = flag.Bool("extended", false, "include IDW/kriging estimators")
-		dataCSV   = flag.String("dataset", "", "optional stored dataset CSV to re-analyse instead of flying")
-		dark      = flag.Float64("dark", -85, "dark-region threshold in dBm for the coverage summary")
-		slice     = flag.Float64("slice", -1, "if ≥ 0, render an ASCII heatmap of the strongest AP at this height (m) to stderr")
-		stream    = flag.Bool("stream", false, "run the windowed incremental pipeline: one published REM snapshot per sample window")
-		window    = flag.Int("window", 0, "with -stream, preprocessed rows per window (≤0 splits the mission into 4 windows)")
-		history   = flag.Int("history", 0, "with -stream or -follow, retained snapshot history (≤0 uses the store default)")
-		shards    = flag.Int("shards", 0, "with -stream, partition the vocabulary across N independent stores (hash-by-MAC routing); only the shards a window dirties rebuild and publish")
-		serve     = flag.String("serve", "", "with -stream or -follow, serve over HTTP on this address (e.g. 127.0.0.1:8080); SIGINT/SIGTERM stop cleanly")
-		rate      = flag.Float64("rate", 0, "with -serve, per-client request budget in requests/second (token bucket keyed by client IP; 0 disables)")
-		snapOut   = flag.String("snapshot", "", "also export the final REM in the binary snapshot codec (rem.ReadFrom loads it) to this path")
-		ingest    = flag.Bool("ingest", false, "live ingestion server: bootstrap on the survey, then accept observation batches on POST /observe of -serve, one published snapshot per batch")
-		walDir    = flag.String("wal", "", "with -ingest, persist accepted batches to a write-ahead log in this directory; a restart replays it into identical snapshots")
-		ingestTok = flag.String("ingest-token", "", "with -ingest, require 'Authorization: Bearer TOKEN' on POST /observe")
-		ingestCap = flag.Int("ingest-queue", 0, "with -ingest, the bounded ingest-queue capacity; a full queue answers 429 + Retry-After (≤0 uses the default)")
-		follow    = flag.String("follow", "", "follower mode: base URL of a running -serve leader to replicate (delta sync); serve the replica on -serve, stop with SIGINT/SIGTERM")
-		poll      = flag.Duration("poll", 0, "with -follow, the leader poll interval (0 uses the follower default)")
-		staleness = flag.Duration("staleness", 0, "with -follow, how old the last successful sync may get before /healthz reports 503 stale (0 uses the follower default)")
-		query     = flag.String("query", "", "query client mode: base URL of a running -serve instance (e.g. http://127.0.0.1:8080); POSTs -points for -key to /at and prints one value per line")
-		queryKey  = flag.String("key", "", "with -query, the source key to query")
-		points    = flag.String("points", "", "with -query, the batch points as 'x,y,z;x,y,z;…' (z may be omitted)")
-		wire      = flag.String("wire", "json", "with -query, the wire format: json or binary (the printed values are identical)")
-		queryMode = flag.String("mode", "at", "with -query, the endpoint: 'at' (one key, one value per line) or 'strongest' (best server, 'key value' per line)")
-		metrics   = flag.Bool("metrics", false, "instrument the pipeline and expose Prometheus text on GET /metrics of -serve (leader, ingester and follower alike)")
-		pprofFlg  = flag.String("pprof", "", "serve net/http/pprof on a side listener at this address (e.g. 127.0.0.1:6060)")
-		events    = flag.Int("events", 0, "with -metrics, capacity of the generation event ring, dumped to stderr on SIGUSR1 and at exit (≤0 uses the default)")
-	)
-	flag.Parse()
+// options holds every flag value (newFlagSet binds them).
+type options struct {
+	seed                       uint64
+	workers                    int
+	out, res, dataCSV, snapOut string
+	extended                   bool
+	dark, slice                float64
 
-	if *query != "" {
-		if *metrics || *pprofFlg != "" || *events != 0 {
-			return errors.New("-metrics, -pprof and -events instrument the server modes; they have no effect with -query")
-		}
-		switch *queryMode {
-		case "at":
-			return runQuery(*query, *queryKey, *points, *wire)
-		case "strongest":
-			return runQueryStrongest(*query, *points, *wire)
-		default:
-			return fmt.Errorf("unknown -mode %q (want at or strongest)", *queryMode)
+	stream                  bool
+	window, history, shards int
+	serve                   string
+	rate                    float64
+
+	ingest            bool
+	walDir, ingestTok string
+	ingestCap         int
+
+	follow          string
+	poll, staleness time.Duration
+
+	query, queryKey, points, wire, queryMode string
+
+	metrics bool
+	pprof   string
+	events  int
+}
+
+// Flag groups the mode table shares.
+const (
+	pipelineFlags = "seed workers o res dataset dark slice snapshot"
+	obsFlags      = "metrics pprof events"
+)
+
+// modes lists every mode with the flags it reads, its own selecting
+// flag included. The first mode whose selecting flag is on the command
+// line runs; the nameless last row is the default batch run. parseArgs
+// rejects any flag the selected mode does not read, and each flag's
+// help text names the modes that read it.
+var modes = []struct {
+	name  string // selecting flag; "" for the batch run
+	flags string // space-separated flag names
+}{
+	{"query", "query key points wire mode"},
+	{"follow", "follow serve poll staleness history " + obsFlags},
+	{"ingest", "ingest serve rate history wal ingest-token ingest-queue " + pipelineFlags + " " + obsFlags},
+	{"stream", "stream serve rate history window shards " + pipelineFlags + " " + obsFlags},
+	{"", "extended pprof " + pipelineFlags},
+}
+
+// isMode reports whether flag selects a mode.
+func isMode(flag string) bool {
+	for _, m := range modes {
+		if m.name == flag {
+			return true
 		}
 	}
-	obs, obsDone, err := setupObservability(*metrics, *events, *pprofFlg)
+	return false
+}
+
+// modeName renders a mode for messages and help text.
+func modeName(name string) string {
+	if name == "" {
+		return "the batch run"
+	}
+	return "-" + name
+}
+
+// readers names the modes that read flag, as "-stream, -ingest or
+// -follow".
+func readers(flag string) string {
+	var names []string
+	for _, m := range modes {
+		for _, f := range strings.Fields(m.flags) {
+			if f == flag {
+				names = append(names, modeName(m.name))
+			}
+		}
+	}
+	if len(names) < 2 {
+		return strings.Join(names, "")
+	}
+	return strings.Join(names[:len(names)-1], ", ") + " or " + names[len(names)-1]
+}
+
+// newFlagSet declares every flag into o, each help text prefixed with
+// the modes that read the flag.
+func newFlagSet(o *options) *flag.FlagSet {
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	fs.Uint64Var(&o.seed, "seed", 1, "master seed for the simulated world")
+	fs.IntVar(&o.workers, "workers", runtime.GOMAXPROCS(0), "worker-pool size for training, evaluation and REM rasterisation (results are identical for any value)")
+	fs.StringVar(&o.out, "o", "-", "REM CSV output path ('-' for stdout)")
+	fs.StringVar(&o.res, "res", "12x10x6", "REM grid resolution as NXxNYxNZ")
+	fs.BoolVar(&o.extended, "extended", false, "include IDW/kriging estimators")
+	fs.StringVar(&o.dataCSV, "dataset", "", "optional stored dataset CSV to re-analyse instead of flying")
+	fs.Float64Var(&o.dark, "dark", -85, "dark-region threshold in dBm for the coverage summary")
+	fs.Float64Var(&o.slice, "slice", -1, "if ≥ 0, render an ASCII heatmap of the strongest AP at this height (m) to stderr")
+	fs.BoolVar(&o.stream, "stream", false, "run the windowed incremental pipeline: one published REM snapshot per sample window")
+	fs.IntVar(&o.window, "window", 0, "preprocessed rows per window (≤0 splits the mission into 4 windows)")
+	fs.IntVar(&o.history, "history", 0, "retained snapshot history (≤0 uses the store default)")
+	fs.IntVar(&o.shards, "shards", 0, "partition the vocabulary across N independent stores (hash-by-MAC routing); only the shards a window dirties rebuild and publish")
+	fs.StringVar(&o.serve, "serve", "", "serve over HTTP on this address (e.g. 127.0.0.1:8080); SIGINT/SIGTERM stop cleanly; -ingest and -follow require it")
+	fs.Float64Var(&o.rate, "rate", 0, "per-client request budget of the -serve front in requests/second (token bucket keyed by client IP; 0 disables)")
+	fs.StringVar(&o.snapOut, "snapshot", "", "also export the final REM in the binary snapshot codec (rem.ReadFrom loads it) to this path")
+	fs.BoolVar(&o.ingest, "ingest", false, "live ingestion server: bootstrap on the survey, then accept observation batches on POST /observe of -serve, one published snapshot per batch")
+	fs.StringVar(&o.walDir, "wal", "", "persist accepted batches to a write-ahead log in this directory; a restart replays it into identical snapshots")
+	fs.StringVar(&o.ingestTok, "ingest-token", "", "require 'Authorization: Bearer TOKEN' on POST /observe")
+	fs.IntVar(&o.ingestCap, "ingest-queue", 0, "the bounded ingest-queue capacity; a full queue answers 429 + Retry-After (≤0 uses the default)")
+	fs.StringVar(&o.follow, "follow", "", "follower mode: base URL of a running -serve leader to replicate (delta sync); serve the replica on -serve, stop with SIGINT/SIGTERM")
+	fs.DurationVar(&o.poll, "poll", 0, "the leader poll interval (0 uses the follower default)")
+	fs.DurationVar(&o.staleness, "staleness", 0, "how old the last successful sync may get before /healthz reports 503 stale (0 uses the follower default)")
+	fs.StringVar(&o.query, "query", "", "query client mode: base URL of a running -serve instance (e.g. http://127.0.0.1:8080); POSTs -points to /at (or /strongest, see -mode) and prints one line per point")
+	fs.StringVar(&o.queryKey, "key", "", "the source key to query (-mode at)")
+	fs.StringVar(&o.points, "points", "", "the batch points as 'x,y,z;x,y,z;…' (z may be omitted)")
+	fs.StringVar(&o.wire, "wire", "json", "the wire format: json or binary (the printed lines are identical)")
+	fs.StringVar(&o.queryMode, "mode", "at", "the endpoint: 'at' (one key, one value per line) or 'strongest' (best server, 'key value' per line)")
+	fs.BoolVar(&o.metrics, "metrics", false, "instrument the pipeline and expose Prometheus text on GET /metrics of -serve")
+	fs.StringVar(&o.pprof, "pprof", "", "serve net/http/pprof on a side listener at this address (e.g. 127.0.0.1:6060)")
+	fs.IntVar(&o.events, "events", 0, "capacity of the generation event ring (also on with -metrics), dumped to stderr on SIGUSR1 and at exit (≤0 uses the default)")
+	fs.VisitAll(func(f *flag.Flag) {
+		if !isMode(f.Name) {
+			f.Usage = "with " + readers(f.Name) + ": " + f.Usage
+		}
+	})
+	return fs
+}
+
+// parseArgs parses the command line into options and returns the
+// selected mode's name, refusing any flag that mode would ignore.
+func parseArgs(args []string) (*options, string, error) {
+	o := new(options)
+	fs := newFlagSet(o)
+	if err := fs.Parse(args); err != nil {
+		return nil, "", err
+	}
+
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	mode := modes[len(modes)-1]
+	for _, m := range modes {
+		if set[m.name] {
+			mode = m
+			break
+		}
+	}
+	reads := map[string]bool{}
+	for _, f := range strings.Fields(mode.flags) {
+		reads[f] = true
+	}
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		switch {
+		case err != nil || reads[f.Name]:
+		case isMode(f.Name):
+			err = fmt.Errorf("-%s and -%s are exclusive modes", mode.name, f.Name)
+		default:
+			err = fmt.Errorf("-%s has no effect with %s (it is read with %s)", f.Name, modeName(mode.name), readers(f.Name))
+		}
+	})
+	return o, mode.name, err
+}
+
+func run(args []string) error {
+	o, mode, err := parseArgs(args)
+	if err != nil {
+		return err
+	}
+	if mode == "query" {
+		return runQuery(os.Stdout, o.query, o.queryMode, o.queryKey, o.points, o.wire)
+	}
+	obs, obsDone, err := setupObservability(o.metrics, o.events, o.pprof)
 	if err != nil {
 		return err
 	}
 	defer obsDone()
-	if *follow != "" {
-		return runFollow(*follow, *serve, *poll, *staleness, *history, obs)
-	}
-	if *poll != 0 || *staleness != 0 {
-		return errors.New("-poll and -staleness configure the follower; add -follow URL")
+	if mode == "follow" {
+		return runFollow(o, obs)
 	}
 
-	cfg := core.DefaultConfig(*seed)
-	cfg.Workers = *workers
+	cfg := core.DefaultConfig(o.seed)
+	cfg.Workers = o.workers
 	var nx, ny, nz int
-	if _, err := fmt.Sscanf(*res, "%dx%dx%d", &nx, &ny, &nz); err != nil {
-		return fmt.Errorf("bad -res %q: %w", *res, err)
+	if _, err := fmt.Sscanf(o.res, "%dx%dx%d", &nx, &ny, &nz); err != nil {
+		return fmt.Errorf("bad -res %q: %w", o.res, err)
 	}
 	cfg.REMResolution = [3]int{nx, ny, nz}
-	if *extended {
-		cfg.Estimators = core.ExtendedEstimators(*seed)
+	if o.extended {
+		cfg.Estimators = core.ExtendedEstimators(o.seed)
 	}
 
 	var stored *dataset.Dataset
-	if *dataCSV != "" {
-		f, err := os.Open(*dataCSV)
+	if o.dataCSV != "" {
+		f, err := os.Open(o.dataCSV)
 		if err != nil {
 			return err
 		}
@@ -197,54 +319,21 @@ func run() error {
 		stored = data
 	}
 
-	if *ingest {
-		if *stream {
-			return errors.New("-ingest and -stream are exclusive: ingestion is batch-driven, streaming is window-driven")
-		}
-		if *shards != 0 {
-			return errors.New("-ingest serves a monolithic store; -shards only applies to -stream")
-		}
-		if *serve == "" {
-			return errors.New("-ingest needs -serve ADDR: the batches arrive on POST /observe")
-		}
-		if *extended {
-			return errors.New("-extended has no effect with -ingest: ingestion serves a single estimator")
-		}
-		return runIngest(cfg, stored, ingestOpts{
-			history: *history, out: *out, snapOut: *snapOut,
-			serve: *serve, rate: *rate, dark: *dark, slice: *slice,
-			wal: *walDir, token: *ingestTok, queue: *ingestCap,
-			obs: obs,
-		})
-	}
-	if *walDir != "" || *ingestTok != "" || *ingestCap != 0 {
-		return errors.New("-wal, -ingest-token and -ingest-queue configure the ingestion server; add -ingest")
-	}
-	if *stream {
-		if *extended {
-			return fmt.Errorf("-extended has no effect with -stream: streaming serves a single estimator, not the Figure 8 suite")
-		}
-		return runStream(cfg, stored, streamOpts{
-			window: *window, history: *history, shards: *shards,
-			out: *out, snapOut: *snapOut, serve: *serve, rate: *rate,
-			dark: *dark, slice: *slice, obs: obs,
-		})
-	}
-	if *window != 0 || *history != 0 || *shards != 0 || *serve != "" {
-		return fmt.Errorf("-window, -history, -shards and -serve configure the streaming pipeline; add -stream")
+	switch mode {
+	case "ingest":
+		return runIngest(cfg, stored, o, obs)
+	case "stream":
+		return runStream(cfg, stored, o, obs)
 	}
 
 	var result *core.Result
 	if stored != nil {
 		result, err = core.RunWithDataset(cfg, stored, nil)
-		if err != nil {
-			return err
-		}
 	} else {
 		result, err = core.Run(cfg)
-		if err != nil {
-			return err
-		}
+	}
+	if err != nil {
+		return err
 	}
 
 	fmt.Fprintf(os.Stderr, "dataset: %d samples (%d retained after preprocessing)\n",
@@ -258,14 +347,7 @@ func run() error {
 		fmt.Fprintf(os.Stderr, "  %-30s RMSE %.4f dB  MAE %.4f dB%s\n", s.Name, s.RMSE, s.MAE, marker)
 	}
 
-	m := result.REM
-	if err := reportMap(m, *dark, *slice); err != nil {
-		return err
-	}
-	if err := writeSnapshotOut(m, *snapOut); err != nil {
-		return err
-	}
-	return writeCSVOut(m, *out)
+	return exportMap(result.REM, o)
 }
 
 // setupObservability builds the optional side-kit shared by every
@@ -312,140 +394,84 @@ func setupObservability(metrics bool, events int, pprofAddr string) (*remobs.Obs
 	return obs, cleanup, nil
 }
 
-// runQuery is the -query client: one batch POST to /at of a running
-// -serve instance, over the JSON or the binary wire. Both wires print
-// the same lines — one shortest-round-trip decimal per value, "null"
-// for a non-finite one — so the CI smoke can diff the two outputs
-// byte for byte (rule 8 over the wire). The serving snapshot version
-// goes to stderr.
-func runQuery(base, key, pointsSpec, wire string) error {
-	if key == "" || pointsSpec == "" {
-		return errors.New("-query needs -key and -points")
+// runQuery is the -query client: one batch POST of the points to /at
+// (mode "at", one key) or /strongest (mode "strongest", best server per
+// point) of a running -serve instance, over the JSON or the binary
+// wire. It prints one line per point to w — the value, or "key value"
+// for strongest, each value as a shortest-round-trip decimal and "null"
+// when non-finite — and both wires print the same lines, so the CI
+// smoke can diff them byte for byte (rule 8 over the wire). The serving
+// snapshot version goes to stderr.
+func runQuery(w io.Writer, base, mode, key, pointsSpec, wire string) error {
+	switch mode {
+	case "at":
+		if key == "" || pointsSpec == "" {
+			return errors.New("-query needs -key and -points")
+		}
+	case "strongest":
+		if pointsSpec == "" {
+			return errors.New("-query -mode strongest needs -points")
+		}
+		key = "" // /strongest takes no key
+	default:
+		return fmt.Errorf("unknown -mode %q (want at or strongest)", mode)
 	}
 	pts, err := parsePoints(pointsSpec)
 	if err != nil {
 		return err
 	}
-	url := strings.TrimRight(base, "/") + "/at"
+	gpts := make([]geom.Vec3, len(pts))
+	for i, p := range pts {
+		gpts[i] = geom.Vec3{X: p[0], Y: p[1], Z: p[2]}
+	}
 
-	var vals []float64
-	var version uint64
+	var body []byte
+	ct := "application/json"
 	switch wire {
 	case "json":
-		body, err := json.Marshal(struct {
-			Key    string       `json:"key"`
+		body, err = json.Marshal(struct {
+			Key    string       `json:"key,omitempty"`
 			Points [][3]float64 `json:"points"`
 		}{key, pts})
 		if err != nil {
 			return err
 		}
-		resp, err := http.Post(url, "application/json", strings.NewReader(string(body)))
-		if err != nil {
-			return err
-		}
-		raw, rerr := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if rerr != nil {
-			return rerr
-		}
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("POST /at: %s: %s", resp.Status, strings.TrimSpace(string(raw)))
-		}
-		var out struct {
-			Values  []*float64 `json:"values"`
-			Version uint64     `json:"version"`
-		}
-		if err := json.Unmarshal(raw, &out); err != nil {
-			return err
-		}
-		vals = make([]float64, len(out.Values))
-		for i, v := range out.Values {
-			if v == nil {
-				vals[i] = math.NaN() // prints as "null", like the JSON wire sent it
-			} else {
-				vals[i] = *v
-			}
-		}
-		version = out.Version
 	case "binary":
-		gpts := make([]geom.Vec3, len(pts))
-		for i, p := range pts {
-			gpts[i] = geom.Vec3{X: p[0], Y: p[1], Z: p[2]}
-		}
-		body := remserve.AppendBatchRequest(nil, key, gpts)
-		req, err := http.NewRequest(http.MethodPost, url, strings.NewReader(string(body)))
-		if err != nil {
-			return err
-		}
-		req.Header.Set("Content-Type", remserve.WireContentType)
-		req.Header.Set("Accept", remserve.WireContentType)
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			return err
-		}
-		raw, rerr := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if rerr != nil {
-			return rerr
-		}
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("POST /at: %s: %s", resp.Status, strings.TrimSpace(string(raw)))
-		}
-		if vals, version, err = remserve.DecodeBatchResponse(raw); err != nil {
-			return err
+		ct = remserve.WireContentType
+		if mode == "at" {
+			body = remserve.AppendBatchRequest(nil, key, gpts)
+		} else {
+			body = remserve.AppendStrongestRequest(nil, gpts)
 		}
 	default:
 		return fmt.Errorf("unknown -wire %q (want json or binary)", wire)
 	}
-
-	fmt.Fprintf(os.Stderr, "version %d (%s wire, %d values)\n", version, wire, len(vals))
-	for _, v := range vals {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			fmt.Println("null")
-		} else {
-			fmt.Println(strconv.FormatFloat(v, 'g', -1, 64))
-		}
-	}
-	return nil
-}
-
-// runQueryStrongest is the -query -mode strongest client: one batch
-// POST to /strongest, over the JSON or the binary wire, printing one
-// "key value" line per point ("null" for a non-finite value). Like
-// runQuery, both wires print identical lines — the CI smoke diffs them.
-func runQueryStrongest(base, pointsSpec, wire string) error {
-	if pointsSpec == "" {
-		return errors.New("-query -mode strongest needs -points")
-	}
-	pts, err := parsePoints(pointsSpec)
+	req, err := http.NewRequest(http.MethodPost, strings.TrimRight(base, "/")+"/"+mode, bytes.NewReader(body))
 	if err != nil {
 		return err
 	}
-	url := strings.TrimRight(base, "/") + "/strongest"
+	req.Header.Set("Content-Type", ct)
+	if wire == "binary" {
+		req.Header.Set("Accept", remserve.WireContentType)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return err
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return err
+	}
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("POST /%s: %s: %s", mode, resp.Status, strings.TrimSpace(string(raw)))
+	}
 
 	var keys []string
 	var vals []float64
 	var version uint64
-	switch wire {
-	case "json":
-		body, err := json.Marshal(struct {
-			Points [][3]float64 `json:"points"`
-		}{pts})
-		if err != nil {
-			return err
-		}
-		resp, err := http.Post(url, "application/json", strings.NewReader(string(body)))
-		if err != nil {
-			return err
-		}
-		raw, rerr := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if rerr != nil {
-			return rerr
-		}
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("POST /strongest: %s: %s", resp.Status, strings.TrimSpace(string(raw)))
-		}
+	switch {
+	case wire == "json":
 		var out struct {
 			Keys    []string   `json:"keys"`
 			Values  []*float64 `json:"values"`
@@ -454,7 +480,7 @@ func runQueryStrongest(base, pointsSpec, wire string) error {
 		if err := json.Unmarshal(raw, &out); err != nil {
 			return err
 		}
-		keys = out.Keys
+		keys, version = out.Keys, out.Version
 		vals = make([]float64, len(out.Values))
 		for i, v := range out.Values {
 			if v == nil {
@@ -463,107 +489,125 @@ func runQueryStrongest(base, pointsSpec, wire string) error {
 				vals[i] = *v
 			}
 		}
-		version = out.Version
-	case "binary":
-		gpts := make([]geom.Vec3, len(pts))
-		for i, p := range pts {
-			gpts[i] = geom.Vec3{X: p[0], Y: p[1], Z: p[2]}
-		}
-		body := remserve.AppendStrongestRequest(nil, gpts)
-		req, err := http.NewRequest(http.MethodPost, url, strings.NewReader(string(body)))
-		if err != nil {
-			return err
-		}
-		req.Header.Set("Content-Type", remserve.WireContentType)
-		req.Header.Set("Accept", remserve.WireContentType)
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			return err
-		}
-		raw, rerr := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if rerr != nil {
-			return rerr
-		}
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("POST /strongest: %s: %s", resp.Status, strings.TrimSpace(string(raw)))
-		}
-		if keys, vals, version, err = remserve.DecodeStrongestResponse(raw); err != nil {
-			return err
-		}
+	case mode == "at":
+		vals, version, err = remserve.DecodeBatchResponse(raw)
 	default:
-		return fmt.Errorf("unknown -wire %q (want json or binary)", wire)
+		keys, vals, version, err = remserve.DecodeStrongestResponse(raw)
 	}
-	if len(keys) != len(vals) {
+	if err != nil {
+		return err
+	}
+	if mode == "strongest" && len(keys) != len(vals) {
 		return fmt.Errorf("response has %d keys for %d values", len(keys), len(vals))
 	}
 
-	fmt.Fprintf(os.Stderr, "version %d (%s wire, %d points)\n", version, wire, len(keys))
-	for i, k := range keys {
-		if math.IsNaN(vals[i]) || math.IsInf(vals[i], 0) {
-			fmt.Printf("%s null\n", k)
+	fmt.Fprintf(os.Stderr, "version %d (%s wire, %d points)\n", version, wire, len(vals))
+	for i, v := range vals {
+		if mode == "strongest" {
+			fmt.Fprintf(w, "%s ", keys[i])
+		}
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			fmt.Fprintln(w, "null")
 		} else {
-			fmt.Printf("%s %s\n", k, strconv.FormatFloat(vals[i], 'g', -1, 64))
+			fmt.Fprintln(w, strconv.FormatFloat(v, 'g', -1, 64))
 		}
 	}
 	return nil
 }
 
+// serveFront is the listen → serve → drain lifecycle every server mode
+// shares. work runs under a context that SIGINT/SIGTERM cancel and
+// hands bind the server to expose once there is a store to serve; bind
+// listens on addr and serves in the background. A bind failure cancels
+// work and is returned as "starting HTTP front: …"; a listener that
+// dies cancels work too and its error is returned. When work returns
+// without error the front keeps serving until a signal. Either way it
+// then drains in-flight requests for up to 5 s before returning, so a
+// caller's own shutdown steps run after the last response.
+func serveFront(addr, what string, work func(ctx context.Context, bind func(*remserve.Server)) error) error {
+	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer cancel()
+	var srv *remserve.Server
+	frontErr := make(chan error, 1) // the one bind failure or Serve result
+	bind := func(s *remserve.Server) {
+		l, err := net.Listen("tcp", addr)
+		if err != nil {
+			frontErr <- fmt.Errorf("starting HTTP front: %w", err)
+			cancel()
+			return
+		}
+		srv = s
+		fmt.Fprintf(os.Stderr, "serving %s on http://%s\n", what, l.Addr())
+		go func() {
+			err := s.Serve(l)
+			if err == nil {
+				err = errors.New("HTTP server stopped unexpectedly")
+			}
+			frontErr <- err
+			cancel()
+		}()
+	}
+
+	err := work(ctx, bind)
+	if err == nil && ctx.Err() == nil {
+		fmt.Fprintln(os.Stderr, "remgen: serving until interrupted (Ctrl-C)")
+		<-ctx.Done()
+	}
+	if errors.Is(err, context.Canceled) && ctx.Err() != nil {
+		err = nil // stopped by a signal or by the front itself
+	}
+	select {
+	case ferr := <-frontErr:
+		if err == nil {
+			err = ferr
+		} else {
+			err = fmt.Errorf("%w (HTTP front: %v)", err, ferr)
+		}
+	default:
+		if err == nil {
+			fmt.Fprintln(os.Stderr, "remgen: interrupted; draining queries")
+		}
+	}
+	if srv == nil {
+		return err
+	}
+	sctx, scancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer scancel()
+	if serr := srv.Shutdown(sctx); err == nil {
+		err = serr
+	}
+	return err
+}
+
 // runFollow is the -follow replica: a remfollow.Follower polling the
-// leader for tile deltas and serving the replicated store on addr. The
-// sync loop and the HTTP front run until SIGINT/SIGTERM; the loop is
-// deliberately unkillable by leader failures — it backs off, resyncs,
-// and keeps serving the last good generation throughout.
-func runFollow(leader, addr string, poll, staleness time.Duration, history int, obs *remobs.Observer) error {
-	if addr == "" {
+// leader for tile deltas and serving the replicated store on -serve
+// until SIGINT/SIGTERM. The sync loop is deliberately unkillable by
+// leader failures — it backs off, resyncs, and keeps serving the last
+// good generation throughout.
+func runFollow(o *options, obs *remobs.Observer) error {
+	if o.serve == "" {
 		return errors.New("-follow needs -serve ADDR to expose the replica")
 	}
 	f, err := remfollow.New(remfollow.Config{
-		Leader:       leader,
-		Poll:         poll,
-		MaxStaleness: staleness,
-		History:      history,
+		Leader:       o.follow,
+		Poll:         o.poll,
+		MaxStaleness: o.staleness,
+		History:      o.history,
 		Observer:     obs,
 	})
 	if err != nil {
 		return err
 	}
-
-	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer cancel()
-
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
+	if err := serveFront(o.serve, "the replica of "+o.follow, func(ctx context.Context, bind func(*remserve.Server)) error {
+		bind(f.Server)
+		return f.Run(ctx)
+	}); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "following %s; serving replica on http://%s\n", leader, l.Addr())
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- f.Serve(l) }()
-
-	runDone := make(chan struct{})
-	go func() { f.Run(ctx); close(runDone) }()
-
-	select {
-	case err := <-serveErr:
-		cancel()
-		<-runDone
-		if err != nil {
-			return err
-		}
-		return errors.New("remgen: replica HTTP server stopped unexpectedly")
-	case <-ctx.Done():
-		fmt.Fprintln(os.Stderr, "remgen: interrupted; draining replica queries")
-		<-runDone
-		sctx, scancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer scancel()
-		if err := f.Shutdown(sctx); err != nil {
-			return err
-		}
-		s := f.SyncStats()
-		fmt.Fprintf(os.Stderr, "replica: version %s, %d syncs (%d deltas, %d fulls, %d unchanged), %d failures, %d resyncs\n",
-			s.Version, s.Syncs, s.Deltas, s.Fulls, s.NotModified, s.Failures, s.Resyncs)
-		return <-serveErr
-	}
+	s := f.SyncStats()
+	fmt.Fprintf(os.Stderr, "replica: version %s, %d syncs (%d deltas, %d fulls, %d unchanged), %d failures, %d resyncs\n",
+		s.Version, s.Syncs, s.Deltas, s.Fulls, s.NotModified, s.Failures, s.Resyncs)
+	return nil
 }
 
 // parsePoints parses the -points spec: semicolon-separated triples of
@@ -595,18 +639,19 @@ func parsePoints(spec string) ([][3]float64, error) {
 	return pts, nil
 }
 
-// reportMap writes the REM summary, coverage figures and the optional
-// slice heatmap to stderr — shared by the batch and streaming paths so
-// their reporting cannot drift apart.
-func reportMap(m *rem.Map, dark, slice float64) error {
+// exportMap writes the REM summary, coverage figures and the optional
+// slice heatmap to stderr, then the -snapshot and -o exports — shared by
+// the batch, streaming and ingestion paths so their output cannot drift
+// apart.
+func exportMap(m *rem.Map, o *options) error {
 	centre := geom.PaperScanVolume().Center()
 	bestKey, bestRSS := m.Strongest(centre)
 	fmt.Fprintf(os.Stderr, "REM: %d sources over %v; strongest at centre: %s (%.1f dBm)\n",
 		len(m.Keys()), m.Volume().Size(), bestKey, bestRSS)
 	fmt.Fprintf(os.Stderr, "coverage ≥ %.0f dBm over %.1f%% of the volume (%d dark cells)\n",
-		dark, 100*m.CoverageFraction(dark), len(m.DarkRegions(dark)))
-	if slice >= 0 {
-		s, err := m.SliceAt(bestKey, slice, 60, 24)
+		o.dark, 100*m.CoverageFraction(o.dark), len(m.DarkRegions(o.dark)))
+	if o.slice >= 0 {
+		s, err := m.SliceAt(bestKey, o.slice, 60, 24)
 		if err != nil {
 			return err
 		}
@@ -614,16 +659,10 @@ func reportMap(m *rem.Map, dark, slice float64) error {
 			return err
 		}
 	}
-	return nil
-}
-
-// streamOpts gathers the streaming-mode flags.
-type streamOpts struct {
-	window, history, shards int
-	out, snapOut, serve     string
-	rate                    float64
-	dark, slice             float64
-	obs                     *remobs.Observer
+	if err := writeSnapshotOut(m, o.snapOut); err != nil {
+		return err
+	}
+	return writeCSVOut(m, o.out)
 }
 
 // runStream drives the windowed incremental pipeline — monolithic, or
@@ -633,108 +672,46 @@ type streamOpts struct {
 // the remserve HTTP subsystem from the first window on; the final
 // generation keeps serving after the stream until SIGINT/SIGTERM, which
 // also cancels a still-running stream between windows.
-func runStream(base core.Config, stored *dataset.Dataset, opts streamOpts) error {
-	shards := opts.shards
+func runStream(base core.Config, stored *dataset.Dataset, o *options, obs *remobs.Observer) error {
 	cfg := core.StreamConfig{
 		Config:     base,
-		WindowRows: opts.window,
-		MaxHistory: opts.history,
-		Observer:   opts.obs,
-		Shards:     shards,
+		WindowRows: o.window,
+		MaxHistory: o.history,
+		Observer:   obs,
+		Shards:     o.shards,
 		OnWindow: func(rep core.WindowReport) {
 			fmt.Fprintf(os.Stderr, "window %d: +%d rows (%d total) → v%d: %d keys dirty across %d/%d shard(s), %d tiles shared\n",
-				rep.Window, rep.NewRows, rep.TotalRows, rep.Version, rep.DirtyKeys, rep.Shards, max(shards, 1), rep.SharedTiles)
+				rep.Window, rep.NewRows, rep.TotalRows, rep.Version, rep.DirtyKeys, rep.Shards, max(o.shards, 1), rep.SharedTiles)
 		},
 	}
-
-	var srv *remserve.Server
-	serveErr := make(chan error, 1)
-	if opts.serve != "" {
-		ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-		defer cancel()
+	stream := func() error {
+		var res *core.StreamResult
+		var err error
+		if stored != nil {
+			res, err = core.RunStreamWithDataset(cfg, stored, nil)
+		} else {
+			res, err = core.RunStream(cfg)
+		}
+		if err != nil {
+			return err
+		}
+		return reportStream(res, o)
+	}
+	if o.serve == "" {
+		return stream()
+	}
+	return serveFront(o.serve, "REM queries", func(ctx context.Context, bind func(*remserve.Server)) error {
 		cfg.Context = ctx
 		cfg.OnStore = func(st *remstore.Store, ss *remshard.ShardedStore) {
-			sopts := remserve.Options{RateLimit: remserve.RateLimit{RPS: opts.rate}, Observer: opts.obs}
+			sopts := remserve.Options{RateLimit: remserve.RateLimit{RPS: o.rate}, Observer: obs}
 			if ss != nil {
-				srv = remserve.NewSharded(ss, sopts)
+				bind(remserve.NewSharded(ss, sopts))
 			} else {
-				srv = remserve.NewStore(st, sopts)
+				bind(remserve.NewStore(st, sopts))
 			}
-			l, err := net.Listen("tcp", opts.serve)
-			if err != nil {
-				serveErr <- err
-				cancel() // no edge to serve through; stop the stream too
-				return
-			}
-			fmt.Fprintf(os.Stderr, "serving REM queries on http://%s\n", l.Addr())
-			go func() { serveErr <- srv.Serve(l) }()
 		}
-	}
-
-	var res *core.StreamResult
-	var err error
-	if stored != nil {
-		res, err = core.RunStreamWithDataset(cfg, stored, nil)
-	} else {
-		res, err = core.RunStream(cfg)
-	}
-	cancelled := err != nil && errors.Is(err, context.Canceled)
-	if err != nil && !cancelled {
-		shutdownServer(srv)
-		select {
-		case serr := <-serveErr:
-			if serr != nil {
-				return fmt.Errorf("%w (HTTP front: %v)", err, serr)
-			}
-		default:
-		}
-		return err
-	}
-	if cancelled {
-		// A bind failure cancels the stream through the same context a
-		// signal does — surface it instead of reporting a clean stop.
-		select {
-		case serr := <-serveErr:
-			if serr != nil {
-				return fmt.Errorf("starting HTTP front: %w", serr)
-			}
-		default:
-		}
-		fmt.Fprintf(os.Stderr, "remgen: %v\n", err)
-		return shutdownServer(srv)
-	}
-	if err := reportStream(res, shards, opts); err != nil {
-		shutdownServer(srv)
-		return err
-	}
-	if srv != nil {
-		fmt.Fprintln(os.Stderr, "stream complete; serving until interrupted (Ctrl-C)")
-		select {
-		case serr := <-serveErr:
-			// The listener died (or never bound) — surface that.
-			shutdownServer(srv)
-			if serr != nil {
-				return serr
-			}
-			return errors.New("remgen: HTTP server stopped unexpectedly")
-		case <-cfg.Context.Done():
-			fmt.Fprintln(os.Stderr, "remgen: interrupted; draining queries")
-			return shutdownServer(srv)
-		}
-	}
-	return nil
-}
-
-// ingestOpts gathers the ingestion-mode flags.
-type ingestOpts struct {
-	history      int
-	out, snapOut string
-	serve        string
-	rate         float64
-	dark, slice  float64
-	wal, token   string
-	queue        int
-	obs          *remobs.Observer
+		return stream()
+	})
 }
 
 // runIngest drives the live ingestion server: open (and replay) the
@@ -744,15 +721,15 @@ type ingestOpts struct {
 // durability: the HTTP edge drains first (no more acks), then the WAL
 // segment is fsynced and closed, so every acknowledged batch is intact
 // on disk when the process exits and the next -wal run replays it.
-func runIngest(base core.Config, stored *dataset.Dataset, opts ingestOpts) error {
-	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer cancel()
-
+func runIngest(base core.Config, stored *dataset.Dataset, o *options, obs *remobs.Observer) error {
+	if o.serve == "" {
+		return errors.New("-ingest needs -serve ADDR: the batches arrive on POST /observe")
+	}
 	var wal *remwal.Log
-	queueCfg := remwal.QueueConfig{Capacity: opts.queue}
+	queueCfg := remwal.QueueConfig{Capacity: o.ingestCap}
 	var replay []remwal.Batch
-	if opts.wal != "" {
-		l, recs, err := remwal.Open(remwal.Config{Dir: opts.wal, Observer: opts.obs})
+	if o.walDir != "" {
+		l, recs, err := remwal.Open(remwal.Config{Dir: o.walDir, Observer: obs})
 		if err != nil {
 			return err
 		}
@@ -760,124 +737,80 @@ func runIngest(base core.Config, stored *dataset.Dataset, opts ingestOpts) error
 		queueCfg.Log = l
 		batches, good := remwal.Batches(recs)
 		if good != len(recs) {
-			return fmt.Errorf("wal %s: record %d does not decode as an observation batch (wrong directory?)", opts.wal, recs[good].Seq)
+			return fmt.Errorf("wal %s: record %d does not decode as an observation batch (wrong directory?)", o.walDir, recs[good].Seq)
 		}
 		replay = batches
-		fmt.Fprintf(os.Stderr, "wal %s: replaying %d batch(es)\n", opts.wal, len(replay))
+		fmt.Fprintf(os.Stderr, "wal %s: replaying %d batch(es)\n", o.walDir, len(replay))
 	}
 	q := remwal.NewQueue(queueCfg)
-	q.SetObserver(opts.obs)
-
-	var srv *remserve.Server
-	serveErr := make(chan error, 1)
-	cfg := core.IngestConfig{
-		Config:     base,
-		MaxHistory: opts.history,
-		Queue:      q,
-		Replay:     replay,
-		Context:    ctx,
-		Observer:   opts.obs,
-		OnStore: func(st *remstore.Store) {
-			srv = remserve.NewStore(st, remserve.Options{
-				RateLimit: remserve.RateLimit{RPS: opts.rate},
-				Ingest:    remserve.IngestOptions{Queue: q, Token: opts.token},
-				Observer:  opts.obs,
-			})
-			l, err := net.Listen("tcp", opts.serve)
-			if err != nil {
-				serveErr <- err
-				cancel() // no edge to ingest through; stop the loop too
-				return
-			}
-			fmt.Fprintf(os.Stderr, "serving REM queries and POST /observe on http://%s\n", l.Addr())
-			go func() { serveErr <- srv.Serve(l) }()
-		},
-		OnBatch: func(rep core.IngestReport) {
-			src := "live"
-			if rep.Replayed {
-				src = "replay"
-			}
-			fmt.Fprintf(os.Stderr, "batch %d (%s): +%d rows → snapshot v%d: %d keys dirty, %d tiles shared\n",
-				rep.Seq, src, rep.Rows, rep.Version, rep.DirtyKeys, rep.SharedTiles)
-		},
-	}
+	q.SetObserver(obs)
 
 	var res *core.IngestResult
-	var err error
-	if stored != nil {
-		res, err = core.RunIngestWithDataset(cfg, stored, nil)
-	} else {
-		res, err = core.RunIngest(cfg)
-	}
-	cancelled := err != nil && errors.Is(err, context.Canceled)
-	closeWAL := func(prev error) error {
-		if wal == nil {
-			return prev
+	err := serveFront(o.serve, "REM queries and POST /observe", func(ctx context.Context, bind func(*remserve.Server)) error {
+		cfg := core.IngestConfig{
+			Config:     base,
+			MaxHistory: o.history,
+			Queue:      q,
+			Replay:     replay,
+			Context:    ctx,
+			Observer:   obs,
+			OnStore: func(st *remstore.Store) {
+				bind(remserve.NewStore(st, remserve.Options{
+					RateLimit: remserve.RateLimit{RPS: o.rate},
+					Ingest:    remserve.IngestOptions{Queue: q, Token: o.ingestTok},
+					Observer:  obs,
+				}))
+			},
+			OnBatch: func(rep core.IngestReport) {
+				src := "live"
+				if rep.Replayed {
+					src = "replay"
+				}
+				fmt.Fprintf(os.Stderr, "batch %d (%s): +%d rows → snapshot v%d: %d keys dirty, %d tiles shared\n",
+					rep.Seq, src, rep.Rows, rep.Version, rep.DirtyKeys, rep.SharedTiles)
+			},
 		}
+		var err error
+		if stored != nil {
+			res, err = core.RunIngestWithDataset(cfg, stored, nil)
+		} else {
+			res, err = core.RunIngest(cfg)
+		}
+		return err
+	})
+	// The front has drained: no request can be acked any more, so the
+	// WAL tail is final.
+	var werr error
+	if wal != nil {
 		last := wal.NextSeq() - 1
-		if cerr := wal.Close(); cerr != nil {
-			if prev == nil {
-				return fmt.Errorf("closing wal: %w", cerr)
-			}
-			return prev
+		if werr = wal.Close(); werr != nil {
+			werr = fmt.Errorf("closing wal: %w", werr)
+		} else {
+			fmt.Fprintf(os.Stderr, "wal %s: closed cleanly at seq %d\n", o.walDir, last)
 		}
-		fmt.Fprintf(os.Stderr, "wal %s: closed cleanly at seq %d\n", opts.wal, last)
-		return prev
 	}
-	if err != nil && !cancelled {
-		_ = shutdownServer(srv) // the run error dominates
-		return closeWAL(err)
+	if err != nil {
+		return err
 	}
-	if cancelled {
-		// A bind failure cancels the loop through the same context a
-		// signal does — surface it instead of reporting a clean stop.
-		select {
-		case serr := <-serveErr:
-			if serr != nil {
-				return closeWAL(fmt.Errorf("starting HTTP front: %w", serr))
-			}
-		default:
-		}
-		fmt.Fprintf(os.Stderr, "remgen: %v; draining queries\n", err)
-	}
-	serr := shutdownServer(srv)
-	serr = closeWAL(serr)
 	if res == nil || res.Store == nil || res.Store.Current() == nil {
-		return serr
+		return werr
 	}
 	stats := res.Store.Stats()
 	fmt.Fprintf(os.Stderr, "ingest: %d batch(es) published over %d snapshots (%d retained); serving v%d\n",
 		len(res.Batches), stats.Publishes, stats.HistoryLen, stats.CurrentVersion)
 	m := res.Store.Current().Map()
-	if rerr := reportMap(m, opts.dark, opts.slice); rerr != nil {
-		return rerr
+	if err := exportMap(m, o); err != nil {
+		return err
 	}
-	if rerr := writeSnapshotOut(m, opts.snapOut); rerr != nil {
-		return rerr
-	}
-	if rerr := writeCSVOut(m, opts.out); rerr != nil {
-		return rerr
-	}
-	return serr
-}
-
-// shutdownServer drains the HTTP front, bounded so a stuck client
-// cannot wedge shutdown. A nil server is a no-op.
-func shutdownServer(srv *remserve.Server) error {
-	if srv == nil {
-		return nil
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	return srv.Shutdown(ctx)
+	return werr
 }
 
 // reportStream prints the stream summary and writes the CSV and
 // snapshot exports of the final generation.
-func reportStream(res *core.StreamResult, shards int, opts streamOpts) error {
+func reportStream(res *core.StreamResult, o *options) error {
 	var m *rem.Map
 	var err error
-	if shards > 0 {
+	if o.shards > 0 {
 		stats := res.Sharded.Stats()
 		fmt.Fprintf(os.Stderr, "stream: %d rounds over %d shards, %d shard publishes\n",
 			stats.Rounds, stats.Shards, stats.ShardPublishes)
@@ -894,13 +827,7 @@ func reportStream(res *core.StreamResult, shards int, opts streamOpts) error {
 			stats.Publishes, stats.HistoryLen, stats.CurrentVersion)
 		m = res.Store.Current().Map()
 	}
-	if err := reportMap(m, opts.dark, opts.slice); err != nil {
-		return err
-	}
-	if err := writeSnapshotOut(m, opts.snapOut); err != nil {
-		return err
-	}
-	return writeCSVOut(m, opts.out)
+	return exportMap(m, o)
 }
 
 // writeSnapshotOut exports the map in the binary snapshot codec

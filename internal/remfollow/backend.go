@@ -1,9 +1,6 @@
 package remfollow
 
 import (
-	"context"
-	"encoding/json"
-	"net"
 	"net/http"
 	"strings"
 
@@ -19,7 +16,8 @@ import (
 // and a replica can itself be followed (chained replication). The
 // snapshot tag is the leader's tag verbatim, held in one atomic
 // generation pointer with the map it names, so the ETag a client sees
-// always matches the bytes it gets even mid-swap.
+// always matches the bytes it gets even mid-swap. Its remserve.Reporter
+// methods give the replica its own /healthz and /stats.
 type followBackend struct{ f *Follower }
 
 func (b followBackend) At(key string, p geom.Vec3) (float64, uint64, error) {
@@ -80,20 +78,38 @@ func (b followBackend) Stats() remserve.Stats {
 	return out
 }
 
-// health is the /healthz view: a replica is "serving" while fresh,
-// "stale" once the last successful sync is older than MaxStaleness
-// (503 — orchestrators should route reads elsewhere, though this
-// process will keep answering them), and "empty" before the first sync.
-func (f *Follower) health() (status string, code int, s SyncStats) {
-	s = f.syncStats()
+// Health is the replica's /healthz (remserve.Reporter): "serving" while
+// fresh, "stale" once the last successful sync is older than
+// MaxStaleness (503 — orchestrators should route reads elsewhere,
+// though this process will keep answering them), and "empty" before the
+// first sync. Unlike the leader's probe it carries freshness: last-sync
+// age, consecutive failures and the resync count, so "why is this
+// replica unhealthy" is answerable from the probe body alone.
+func (b followBackend) Health() (int, any) {
+	s := b.f.syncStats()
+	status, code := "serving", http.StatusOK
 	switch {
 	case s.Version == "":
-		return "empty", http.StatusServiceUnavailable, s
+		status, code = "empty", http.StatusServiceUnavailable
 	case s.Stale:
-		return "stale", http.StatusServiceUnavailable, s
-	default:
-		return "serving", http.StatusOK, s
+		status, code = "stale", http.StatusServiceUnavailable
 	}
+	return code, struct {
+		Status              string `json:"status"`
+		Version             string `json:"version"`
+		LastSyncAgeMS       int64  `json:"last_sync_age_ms"`
+		ConsecutiveFailures int    `json:"consecutive_failures"`
+		Resyncs             uint64 `json:"resyncs"`
+	}{status, s.Version, s.LastSyncAgeMS, s.ConsecutiveFailures, s.Resyncs}
+}
+
+// StatsDoc is the replica's /stats (remserve.Reporter): the replication
+// telemetry alongside the local store's serving counters.
+func (b followBackend) StatsDoc() any {
+	return struct {
+		Sync  SyncStats      `json:"sync"`
+		Store remserve.Stats `json:"store"`
+	}{b.f.syncStats(), b.Stats()}
 }
 
 // syncStats snapshots the replication telemetry.
@@ -112,115 +128,3 @@ func (f *Follower) syncStats() SyncStats {
 // SyncStats returns the current replication telemetry (the /stats
 // "sync" section).
 func (f *Follower) SyncStats() SyncStats { return f.syncStats() }
-
-// ServeHTTP serves the replica's endpoint set: /healthz and /stats are
-// the follower's own (replication-aware — a query front that lies about
-// its staleness is worse than one that is down), everything else is the
-// standard remserve surface over the local store.
-func (f *Follower) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	switch r.URL.Path {
-	case "/healthz":
-		if r.Method != http.MethodGet && r.Method != http.MethodHead {
-			w.Header().Set("Allow", "GET")
-			http.Error(w, http.StatusText(http.StatusMethodNotAllowed), http.StatusMethodNotAllowed)
-			return
-		}
-		f.handleHealthz(w)
-	case "/stats":
-		if r.Method != http.MethodGet && r.Method != http.MethodHead {
-			w.Header().Set("Allow", "GET")
-			http.Error(w, http.StatusText(http.StatusMethodNotAllowed), http.StatusMethodNotAllowed)
-			return
-		}
-		f.handleStats(w)
-	default:
-		f.server.ServeHTTP(w, r)
-	}
-}
-
-// handleHealthz writes the replica health probe. Unlike the leader's
-// probe it carries freshness: last-sync age, consecutive failures and
-// the resync count, so "why is this replica unhealthy" is answerable
-// from the probe body alone.
-func (f *Follower) handleHealthz(w http.ResponseWriter) {
-	status, code, s := f.health()
-	body, err := json.Marshal(struct {
-		Status              string `json:"status"`
-		Version             string `json:"version"`
-		LastSyncAgeMS       int64  `json:"last_sync_age_ms"`
-		ConsecutiveFailures int    `json:"consecutive_failures"`
-		Resyncs             uint64 `json:"resyncs"`
-	}{status, s.Version, s.LastSyncAgeMS, s.ConsecutiveFailures, s.Resyncs})
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if code != http.StatusOK {
-		w.WriteHeader(code)
-	}
-	w.Write(append(body, '\n'))
-}
-
-// handleStats writes the replication telemetry alongside the local
-// store's serving counters.
-func (f *Follower) handleStats(w http.ResponseWriter) {
-	body, err := json.Marshal(struct {
-		Sync  SyncStats      `json:"sync"`
-		Store remserve.Stats `json:"store"`
-	}{f.syncStats(), followBackend{f}.Stats()})
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(append(body, '\n'))
-}
-
-// Serve accepts connections on l until Shutdown, with the same hardened
-// connection bounds as the leader front.
-func (f *Follower) Serve(l net.Listener) error {
-	hs := &http.Server{
-		Handler:           f,
-		ReadHeaderTimeout: remserve.DefaultReadHeaderTimeout,
-		ReadTimeout:       remserve.DefaultReadTimeout,
-		IdleTimeout:       remserve.DefaultIdleTimeout,
-	}
-	f.srvMu.Lock()
-	f.hs = hs
-	f.addr = l.Addr().String()
-	f.srvMu.Unlock()
-	err := hs.Serve(l)
-	if err == http.ErrServerClosed {
-		return nil
-	}
-	return err
-}
-
-// ListenAndServe binds addr (":0" picks a free port, see Addr) and
-// serves until Shutdown.
-func (f *Follower) ListenAndServe(addr string) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return f.Serve(l)
-}
-
-// Addr returns the bound listen address, or "" before Serve.
-func (f *Follower) Addr() string {
-	f.srvMu.Lock()
-	defer f.srvMu.Unlock()
-	return f.addr
-}
-
-// Shutdown stops accepting connections and drains in-flight requests.
-func (f *Follower) Shutdown(ctx context.Context) error {
-	f.srvMu.Lock()
-	hs := f.hs
-	f.srvMu.Unlock()
-	if hs == nil {
-		return nil
-	}
-	return hs.Shutdown(ctx)
-}

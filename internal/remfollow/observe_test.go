@@ -114,6 +114,51 @@ func TestFollowerStalenessGaugeAges(t *testing.T) {
 	}
 }
 
+// TestFollowerProbesMetered pins that the replica's own /healthz and
+// /stats run through the instrumented remserve front: each GET advances
+// the per-endpoint request counter exactly like /version does, and the
+// probe bodies keep the replica's freshness document.
+func TestFollowerProbesMetered(t *testing.T) {
+	h := newLeader(t, 3, 1)
+	h.round()
+	obs := remobs.New(0)
+	now := time.Unix(1000, 0)
+	f := newFollower(t, h, nil, func(c *Config) {
+		c.Observer = obs
+		c.Now = func() time.Time { return now }
+	})
+	if err := f.SyncOnce(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	fsrv := httptest.NewServer(f)
+	defer fsrv.Close()
+
+	for i := 0; i < 3; i++ {
+		for _, path := range []string{"/healthz", "/stats", "/version"} {
+			if status, _, body := getBody(t, fsrv.URL+path); status != http.StatusOK {
+				t.Fatalf("GET %s: %d %q", path, status, body)
+			}
+		}
+	}
+	status, hdr, body := getBody(t, fsrv.URL+"/healthz")
+	want := `{"status":"serving","version":"1","last_sync_age_ms":0,"consecutive_failures":0,"resyncs":1}` + "\n"
+	if status != http.StatusOK || string(body) != want || hdr.Get("Content-Type") != "application/json" {
+		t.Fatalf("healthz = %d %q %q, want 200 %q application/json", status, body, hdr.Get("Content-Type"), want)
+	}
+
+	text := string(obs.Registry.AppendPrometheus(nil))
+	for _, ep := range []string{"healthz", "stats", "version"} {
+		series := `rem_http_requests_total{code="2xx",endpoint="` + ep + `",wire="json"}`
+		wantN := 3.0
+		if ep == "healthz" {
+			wantN = 4 // the body check above
+		}
+		if v, ok := sampleFloat(text, series); !ok || v != wantN {
+			t.Errorf("%s = %g (present %v), want %g", series, v, ok, wantN)
+		}
+	}
+}
+
 // getBody is a tiny GET helper (the main test file's helpers are
 // byte-comparison oriented).
 func getBody(t *testing.T, url string) (int, http.Header, []byte) {

@@ -102,7 +102,8 @@ type Config struct {
 	Rand func() float64
 	// Observer, when set, instruments the follower: sync latency and
 	// outcomes, staleness and failure gauges, the local store's metrics
-	// and the inner HTTP server (which also answers GET /metrics). A
+	// and the replica's HTTP front — every endpoint, /healthz and /stats
+	// included, plus GET /metrics. A
 	// follower sharing a process with a leader needs its own Observer —
 	// both register rem_store_* names, and func instruments are
 	// last-wins.
@@ -155,15 +156,18 @@ type SyncStats struct {
 }
 
 // Follower mirrors one leader into a local store. Create with New,
-// drive with Run (or SyncOnce under a custom loop), serve with
-// Handler/Serve. All methods are safe for concurrent use; Run and
-// SyncOnce are a single logical writer and must not run concurrently
-// with each other.
+// drive with Run (or SyncOnce under a custom loop). A Follower is a
+// remserve.Server over the replica store — mount it as an http.Handler
+// or run its Serve/ListenAndServe/Shutdown lifecycle — whose /healthz
+// and /stats report replication freshness. All methods are safe for
+// concurrent use; Run and SyncOnce are a single logical writer and must
+// not run concurrently with each other.
 type Follower struct {
+	*remserve.Server
+
 	cfg    Config
 	client *http.Client
 	store  *remstore.Store
-	server *remserve.Server
 	o      *followObs
 
 	gen atomic.Pointer[generation]
@@ -179,11 +183,6 @@ type Follower struct {
 	fails     int
 	forceFull bool
 	stats     SyncStats
-
-	// Listener lifecycle (Serve/Addr/Shutdown).
-	srvMu sync.Mutex
-	hs    *http.Server
-	addr  string
 }
 
 // New builds a follower over cfg. The local store is created here and
@@ -229,7 +228,7 @@ func New(cfg Config) (*Follower, error) {
 	if f.rng == nil {
 		f.rng = newJitterSource()
 	}
-	f.server = remserve.New(followBackend{f}, remserve.Options{Observer: cfg.Observer})
+	f.Server = remserve.New(followBackend{f}, remserve.Options{Observer: cfg.Observer})
 	f.store.SetObserver(cfg.Observer)
 	f.initObserver(cfg.Observer)
 	f.stats.Leader = cfg.Leader

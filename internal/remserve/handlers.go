@@ -642,16 +642,34 @@ func etagMatch(header, etag string) bool {
 // {"store":{…}}: every backend flavour nests its aggregate counters
 // under the same key, mirroring the follower's {"sync","store"}
 // document, so a scraper reads .store.queries without caring which
-// binary answered.
+// binary answered. A Reporter backend supplies its own document.
 func (s *Server) handleStats(w http.ResponseWriter) {
-	body, err := json.Marshal(struct {
+	if s.rep != nil {
+		writeDoc(w, http.StatusOK, s.rep.StatsDoc())
+		return
+	}
+	writeDoc(w, http.StatusOK, struct {
 		Store Stats `json:"store"`
 	}{s.b.Stats()})
+}
+
+// writeDoc is the cold-path JSON writer behind /stats and a Reporter's
+// /healthz: doc marshalled by encoding/json plus a trailing newline,
+// under status code.
+func writeDoc(w http.ResponseWriter, code int, doc any) {
+	body, err := json.Marshal(doc)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	writeJSON(w, append(body, '\n'))
+	h := w.Header()
+	if _, ok := h["Content-Type"]; !ok {
+		h["Content-Type"] = jsonCT
+	}
+	if code != http.StatusOK {
+		w.WriteHeader(code)
+	}
+	w.Write(append(body, '\n'))
 }
 
 // handleHealthz serves GET /healthz: 200 {"status":"serving",…} once
@@ -661,8 +679,13 @@ func (s *Server) handleStats(w http.ResponseWriter) {
 // nothing has published, "degraded" when some shards serve and others
 // are still pending (a store mid-first-round), with the pending count —
 // an operator reading the probe sees which failure they have, not a
-// bare status code.
+// bare status code. A Reporter backend supplies its own probe.
 func (s *Server) handleHealthz(w http.ResponseWriter) {
+	if s.rep != nil {
+		code, doc := s.rep.Health()
+		writeDoc(w, code, doc)
+		return
+	}
 	st := s.b.Stats()
 	status := "serving"
 	if !st.Serving {

@@ -93,6 +93,19 @@ type Backend interface {
 	Stats() Stats
 }
 
+// Reporter is an optional Backend extension for a backend whose health
+// is more than its store's — a read replica, whose freshness is its
+// leader's. When the Backend given to New implements it, GET /healthz
+// and GET /stats answer with its documents (encoding/json, one trailing
+// newline) in place of the store-derived ones; routing, method checks,
+// rate limiting and request metrics stay those of every other endpoint.
+type Reporter interface {
+	// Health returns the /healthz status code and document.
+	Health() (code int, doc any)
+	// StatsDoc returns the /stats document.
+	StatsDoc() any
+}
+
 // Stats is the backend-neutral aggregate the /stats, /healthz and
 // /version endpoints serve. PerShard holds one remstore.Stats per shard
 // (exactly one for a monolithic store), so per-shard publish, query and
@@ -346,6 +359,7 @@ func timeoutOr(v, def time.Duration) time.Duration {
 // until Shutdown, which stops accepting and drains in-flight requests.
 type Server struct {
 	b           Backend
+	rep         Reporter // b's own /healthz and /stats, if it has them
 	maxBytes    int64
 	maxPoints   int
 	limiter     *limiter
@@ -383,6 +397,7 @@ func New(b Backend, opts Options) *Server {
 		readTimeout:       timeoutOr(opts.ReadTimeout, DefaultReadTimeout),
 		idleTimeout:       timeoutOr(opts.IdleTimeout, DefaultIdleTimeout),
 	}
+	s.rep, _ = b.(Reporter)
 	if opts.Observer != nil {
 		s.obs = opts.Observer
 		s.metrics = newServeMetrics(opts.Observer.Registry)
