@@ -992,7 +992,7 @@ func benchServeServer(b *testing.B) (*remserve.Server, []string) {
 	if _, err := ss.Rebuild(benchAllKeys(len(keys)), predict, rem.BuildOptions{}); err != nil {
 		b.Fatal(err)
 	}
-	return remserve.NewSharded(ss, remserve.Options{}), keys
+	return remserve.New(remserve.ShardedBackend(ss), remserve.Options{}), keys
 }
 
 // BenchmarkServeAt is GET /at through the handler: one op = one routed
@@ -1041,7 +1041,7 @@ func BenchmarkServeAtObserved(b *testing.B) {
 	}
 	obs := remobs.New(0)
 	ss.SetObserver(obs)
-	srv := remserve.NewSharded(ss, remserve.Options{Observer: obs})
+	srv := remserve.New(remserve.ShardedBackend(ss), remserve.Options{Observer: obs})
 	pts := benchQueryPoints(512)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -1410,7 +1410,7 @@ func benchIngestServer(b *testing.B) (*remserve.Server, *remwal.Queue, string) {
 		b.Fatal(err)
 	}
 	q := remwal.NewQueue(remwal.QueueConfig{Capacity: 4})
-	srv := remserve.NewSharded(ss, remserve.Options{Ingest: remserve.IngestOptions{Queue: q}})
+	srv := remserve.New(remserve.ShardedBackend(ss), remserve.Options{Ingest: remserve.IngestOptions{Queue: q}})
 	return srv, q, keys[0]
 }
 

@@ -705,9 +705,9 @@ func runStream(base core.Config, stored *dataset.Dataset, o *options, obs *remob
 		cfg.OnStore = func(st *remstore.Store, ss *remshard.ShardedStore) {
 			sopts := remserve.Options{RateLimit: remserve.RateLimit{RPS: o.rate}, Observer: obs}
 			if ss != nil {
-				bind(remserve.NewSharded(ss, sopts))
+				bind(remserve.New(remserve.ShardedBackend(ss), sopts))
 			} else {
-				bind(remserve.NewStore(st, sopts))
+				bind(remserve.New(remserve.StoreBackend(st), sopts))
 			}
 		}
 		return stream()
@@ -755,7 +755,7 @@ func runIngest(base core.Config, stored *dataset.Dataset, o *options, obs *remob
 			Context:    ctx,
 			Observer:   obs,
 			OnStore: func(st *remstore.Store) {
-				bind(remserve.NewStore(st, remserve.Options{
+				bind(remserve.New(remserve.StoreBackend(st), remserve.Options{
 					RateLimit: remserve.RateLimit{RPS: o.rate},
 					Ingest:    remserve.IngestOptions{Queue: q, Token: o.ingestTok},
 					Observer:  obs,

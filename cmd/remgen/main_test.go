@@ -102,7 +102,7 @@ func TestQueryClient(t *testing.T) {
 	if _, err := ss.Rebuild([]int{0, 1, 2}, predict, rem.BuildOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(remserve.NewSharded(ss, remserve.Options{}))
+	srv := httptest.NewServer(remserve.New(remserve.ShardedBackend(ss), remserve.Options{}))
 	defer srv.Close()
 
 	const spec = "2,1.5,1;0.3,0.2;3.7,2.9,2.5"

@@ -89,7 +89,7 @@ func run() error {
 		clock = clock.Add(d)
 		clockMu.Unlock()
 	}
-	srv := remserve.NewSharded(ss, remserve.Options{
+	srv := remserve.New(remserve.ShardedBackend(ss), remserve.Options{
 		RateLimit: remserve.RateLimit{RPS: 1, Burst: 24, Now: now},
 	})
 	l, err := net.Listen("tcp", "127.0.0.1:0")

@@ -71,7 +71,7 @@ func run() error {
 	addrCh := make(chan string, 1)
 	keysCh := make(chan []string, 1)
 	cfg.OnStore = func(_ *remstore.Store, ss *remshard.ShardedStore) {
-		srv = remserve.NewSharded(ss, remserve.Options{})
+		srv = remserve.New(remserve.ShardedBackend(ss), remserve.Options{})
 		l, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			panic(err) // example wiring; a real deployment returns this

@@ -104,7 +104,7 @@ func startPipeline(walDir string) *pipeline {
 	started := make(chan struct{})
 	cfg.OnStore = func(st *remstore.Store) {
 		p.store = st
-		p.srv = httptest.NewServer(remserve.NewStore(st, remserve.Options{
+		p.srv = httptest.NewServer(remserve.New(remserve.StoreBackend(st), remserve.Options{
 			Ingest: remserve.IngestOptions{Queue: p.queue, Token: "demo-token"},
 		}))
 		close(started)

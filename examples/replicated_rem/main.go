@@ -71,7 +71,7 @@ func startLeader(addr string, gen *int) (*leader, error) {
 	if err := ld.publish(gen, nil); err != nil {
 		return nil, err
 	}
-	ld.srv = remserve.NewSharded(ss, remserve.Options{})
+	ld.srv = remserve.New(remserve.ShardedBackend(ss), remserve.Options{})
 	ld.lis, err = net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err

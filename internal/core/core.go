@@ -286,26 +286,33 @@ func buildREM(cfg Config, pre *dataset.Preprocessed, spec EstimatorSpec) (*rem.M
 }
 
 // BatchPredictorFor adapts a fitted estimator to the REM's batched cell
-// contract under this pipeline's feature encoding: dim-wide rows with
-// the cell centre at columns 0..2 and the one-hot MAC block (scaled by
-// scale; 0 omits it) at offset 3. It is the single owner of that layout
-// — rasterisation callers (the pipeline, the streaming loop, examples,
-// benchmarks) share it rather than re-encoding by hand.
+// contract under this pipeline's feature encoding (designRows) —
+// rasterisation callers (the pipeline, the streaming loop, examples,
+// benchmarks) share it rather than re-encoding by hand. Estimators with
+// a batch path (kNN, NN) answer the whole run in one PredictBatch call.
 func BatchPredictorFor(est ml.Estimator, dim int, scale float64) rem.BatchPredictFunc {
 	return func(centers []geom.Vec3, keyIdx int) ([]float64, error) {
-		// One flat backing array per batch instead of one allocation per
-		// cell; estimators with a batch path (kNN, NN) then answer the
-		// whole run in a single PredictBatch call.
-		flat := make([]float64, len(centers)*dim)
-		qs := make([][]float64, len(centers))
-		for i, pos := range centers {
-			q := flat[i*dim : (i+1)*dim]
-			q[0], q[1], q[2] = pos.X, pos.Y, pos.Z
-			if scale != 0 {
-				q[3+keyIdx] = scale
-			}
-			qs[i] = q
-		}
-		return ml.PredictAll(est, qs)
+		return ml.PredictAll(est, designRows(centers, keyIdx, dim, scale))
 	}
+}
+
+// designRows encodes positions of key keyIdx as this pipeline's feature
+// rows — dim wide, the position at columns 0..2 and the one-hot MAC
+// block (scaled by scale; 0 omits it) at offset 3. It is the single
+// owner of that layout: rasterisation queries (BatchPredictorFor) and
+// ingested observations (RunIngest) both encode through it. The rows
+// share one flat backing array instead of one allocation each, capped
+// so no row can grow into its neighbour.
+func designRows(pts []geom.Vec3, keyIdx, dim int, scale float64) [][]float64 {
+	flat := make([]float64, len(pts)*dim)
+	rows := make([][]float64, len(pts))
+	for i, p := range pts {
+		r := flat[i*dim : (i+1)*dim : (i+1)*dim]
+		r[0], r[1], r[2] = p.X, p.Y, p.Z
+		if scale != 0 {
+			r[3+keyIdx] = scale
+		}
+		rows[i] = r
+	}
+	return rows
 }

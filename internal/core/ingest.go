@@ -183,13 +183,7 @@ func RunIngestWithDataset(cfg IngestConfig, data *dataset.Dataset, report *missi
 			// a different vocabulary) — a config error, not a data fault.
 			return fmt.Errorf("core: batch %d: %w: %q", seq, rem.ErrUnknownKey, b.Key)
 		}
-		x := make([][]float64, len(b.Points))
-		for i, p := range b.Points {
-			row := make([]float64, featDim)
-			row[0], row[1], row[2] = p.X, p.Y, p.Z
-			row[3+ki] = g.spec.Features.OneHotMACScale
-			x[i] = row
-		}
+		x := designRows(b.Points, ki, featDim, g.spec.Features.OneHotMACScale)
 		// The estimator may keep the targets; the batch is the queue's.
 		y := append([]float64(nil), b.Values...)
 		round, err := g.step(x, y, "batch", fmt.Sprintf("seq=%d replayed=%v", seq, replayed))

@@ -20,17 +20,12 @@ import (
 // it with errors.Is; the wrapping message still names the offending key.
 var ErrUnknownKey = errors.New("rem: unknown key")
 
-// PredictFunc evaluates a trained model at a position for a given key
-// (MAC). The core pipeline adapts its estimators to this signature. It
-// must be safe for concurrent use: BuildMap fans cells out across a
-// worker pool.
-type PredictFunc func(pos geom.Vec3, keyIndex int) (float64, error)
-
 // BatchPredictFunc evaluates a trained model at a run of positions for a
-// given key, letting estimators amortise per-call overhead (buffer reuse,
-// feature-vector assembly) over the whole batch. Element i of the result
-// corresponds to centers[i]. Like PredictFunc it must be safe for
-// concurrent use.
+// given key (MAC), letting estimators amortise per-call overhead (buffer
+// reuse, feature-vector assembly) over the whole batch. Element i of the
+// result corresponds to centers[i]. The core pipeline adapts its
+// estimators to this signature (core.BatchPredictorFor). It must be safe
+// for concurrent use: BuildMapBatch fans cells out across a worker pool.
 type BatchPredictFunc func(centers []geom.Vec3, keyIndex int) ([]float64, error)
 
 // BuildOptions tunes map construction.
@@ -162,39 +157,43 @@ func newShell(volume geom.Cuboid, nx, ny, nz int, keys []string) (*Map, error) {
 	return m, nil
 }
 
-// BuildMap evaluates the model over an nx × ny × nz grid of cell centres
-// with default options (one worker per CPU).
-func BuildMap(volume geom.Cuboid, nx, ny, nz int, keys []string, predict PredictFunc) (*Map, error) {
-	return BuildMapOpts(volume, nx, ny, nz, keys, predict, BuildOptions{})
-}
-
-// BuildMapOpts evaluates the model over the grid on a bounded worker
-// pool. The first predictor error cancels outstanding work.
-func BuildMapOpts(volume geom.Cuboid, nx, ny, nz int, keys []string, predict PredictFunc, opts BuildOptions) (*Map, error) {
-	if predict == nil {
-		return nil, fmt.Errorf("rem: map needs a predictor")
-	}
-	return buildMap(volume, nx, ny, nz, keys, opts, func(m *Map, ki, lo, hi int) error {
-		for idx := lo; idx < hi; idx++ {
-			p := m.cellCenter(idx%nx, (idx/nx)%ny, idx/(nx*ny))
-			v, err := predict(p, ki)
-			if err != nil {
-				return fmt.Errorf("rem: predicting %s at %v: %w", m.keys[ki], p, err)
-			}
-			m.setCell(ki, idx, v)
-		}
-		return nil
-	})
-}
-
-// BuildMapBatch is BuildMapOpts over the batched predictor contract: each
-// worker hands its whole contiguous run of cell centres to the model in
-// one call.
+// BuildMapBatch evaluates the model over an nx × ny × nz grid of cell
+// centres on a bounded worker pool: each worker hands its whole
+// contiguous run of cell centres to the model in one call. The first
+// predictor error cancels outstanding work.
 func BuildMapBatch(volume geom.Cuboid, nx, ny, nz int, keys []string, predict BatchPredictFunc, opts BuildOptions) (*Map, error) {
 	if predict == nil {
 		return nil, fmt.Errorf("rem: map needs a predictor")
 	}
-	return buildMap(volume, nx, ny, nz, keys, opts, batchFill(predict))
+	m, err := newShell(volume, nx, ny, nz, keys)
+	if err != nil {
+		return nil, err
+	}
+	for ki := range m.keys {
+		m.allocKey(ki)
+	}
+	// Chunks never span keys, so batch predictors see a single key per
+	// call; the flat (key, cell) space is chunked for load balance.
+	fill := batchFill(predict)
+	cells := m.stride
+	err = parallel.ForEachChunk(len(keys)*cells, opts.Workers, func(lo, hi int) error {
+		for lo < hi {
+			ki := lo / cells
+			end := (ki + 1) * cells
+			if end > hi {
+				end = hi
+			}
+			if err := fill(m, ki, lo-ki*cells, end-ki*cells); err != nil {
+				return err
+			}
+			lo = end
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return m, nil
 }
 
 // batchFill adapts a batch predictor to the tile-at-a-time fill contract
@@ -215,40 +214,6 @@ func batchFill(predict BatchPredictFunc) func(m *Map, ki, lo, hi int) error {
 		m.copyRange(ki, lo, vals)
 		return nil
 	}
-}
-
-// buildMap validates the grid, allocates every key's tiles, then fans
-// per-key contiguous cell chunks out across the pool; fill writes values
-// for cells [lo, hi) of key ki.
-func buildMap(volume geom.Cuboid, nx, ny, nz int, keys []string, opts BuildOptions, fill func(m *Map, ki, lo, hi int) error) (*Map, error) {
-	m, err := newShell(volume, nx, ny, nz, keys)
-	if err != nil {
-		return nil, err
-	}
-	for ki := range m.keys {
-		m.allocKey(ki)
-	}
-	// Chunks never span keys, so batch predictors see a single key per
-	// call; the flat (key, cell) space is chunked for load balance.
-	cells := m.stride
-	err = parallel.ForEachChunk(len(keys)*cells, opts.Workers, func(lo, hi int) error {
-		for lo < hi {
-			ki := lo / cells
-			end := (ki + 1) * cells
-			if end > hi {
-				end = hi
-			}
-			if err := fill(m, ki, lo-ki*cells, end-ki*cells); err != nil {
-				return err
-			}
-			lo = end
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return m, nil
 }
 
 // Volume returns the mapped volume.

@@ -17,39 +17,47 @@ func waveField(p geom.Vec3, k int) (float64, error) {
 	return -50 - 6*math.Sin(p.X+float64(k)) - 4*math.Cos(p.Y*2) - 3*p.Z, nil
 }
 
-// TestBuildMapWorkerCountInvariance is the determinism contract: maps
-// built with workers=1 and workers=8 (and the batch path) are
-// byte-identical.
-func TestBuildMapWorkerCountInvariance(t *testing.T) {
-	vol := geom.MustCuboid(geom.V(0, 0, 0), 4, 3, 2.6)
-	keys := []string{"AA", "BB", "CC"}
-	seq, err := BuildMapOpts(vol, 9, 7, 5, keys, waveField, BuildOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := BuildMapOpts(vol, 9, 7, 5, keys, waveField, BuildOptions{Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch := func(centers []geom.Vec3, k int) ([]float64, error) {
+// pointwise wraps a per-sample predictor as a batch one, evaluating
+// each centre on its own.
+func pointwise(f func(p geom.Vec3, k int) (float64, error)) BatchPredictFunc {
+	return func(centers []geom.Vec3, k int) ([]float64, error) {
 		out := make([]float64, len(centers))
 		for i, p := range centers {
-			out[i], _ = waveField(p, k)
+			v, err := f(p, k)
+			if err != nil {
+				return nil, err
+			}
+			out[i] = v
 		}
 		return out, nil
 	}
-	bat, err := BuildMapBatch(vol, 9, 7, 5, keys, batch, BuildOptions{Workers: 8})
+}
+
+// TestBuildMapWorkerCountInvariance is the determinism contract: maps
+// built with workers=1, 3 and 8 are byte-identical.
+func TestBuildMapWorkerCountInvariance(t *testing.T) {
+	vol := geom.MustCuboid(geom.V(0, 0, 0), 4, 3, 2.6)
+	keys := []string{"AA", "BB", "CC"}
+	seq, err := BuildMapBatch(vol, 9, 7, 5, keys, pointwise(waveField), BuildOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seq.NumTiles() != par.NumTiles() || seq.NumTiles() != bat.NumTiles() {
-		t.Fatalf("tile counts differ: %d/%d/%d", seq.NumTiles(), par.NumTiles(), bat.NumTiles())
+	par, err := BuildMapBatch(vol, 9, 7, 5, keys, pointwise(waveField), BuildOptions{Workers: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	odd, err := BuildMapBatch(vol, 9, 7, 5, keys, pointwise(waveField), BuildOptions{Workers: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seq.NumTiles() != par.NumTiles() || seq.NumTiles() != odd.NumTiles() {
+		t.Fatalf("tile counts differ: %d/%d/%d", seq.NumTiles(), par.NumTiles(), odd.NumTiles())
 	}
 	if !seq.Equal(par) {
 		t.Fatal("workers=8 map differs from workers=1 map")
 	}
-	if !seq.Equal(bat) {
-		t.Fatal("batch map differs from workers=1 map")
+	if !seq.Equal(odd) {
+		t.Fatal("workers=3 map differs from workers=1 map")
 	}
 }
 
@@ -65,7 +73,7 @@ func TestBuildMapParallelErrorPropagates(t *testing.T) {
 		return -60, nil
 	}
 	for _, workers := range []int{1, 8} {
-		m, err := BuildMapOpts(vol, 16, 16, 4, []string{"a"}, bad, BuildOptions{Workers: workers})
+		m, err := BuildMapBatch(vol, 16, 16, 4, []string{"a"}, pointwise(bad), BuildOptions{Workers: workers})
 		if !errors.Is(err, boom) {
 			t.Errorf("workers=%d: error = %v, want boom", workers, err)
 		}
@@ -114,7 +122,7 @@ func TestBuildMapBatchSingleKeyPerCall(t *testing.T) {
 // -race this proves queries share no mutable state.
 func TestMapConcurrentQueries(t *testing.T) {
 	vol := geom.MustCuboid(geom.V(0, 0, 0), 4, 3, 2.6)
-	m, err := BuildMap(vol, 10, 8, 6, []string{"AA", "BB"}, waveField)
+	m, err := BuildMapBatch(vol, 10, 8, 6, []string{"AA", "BB"}, pointwise(waveField), BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +190,7 @@ func TestBuildMapNNBatchWorkerInvariance(t *testing.T) {
 		q[3+ki] = 1
 		return q
 	}
-	perSample := func(p geom.Vec3, ki int) (float64, error) { return net.Predict(query(p, ki)) }
+	perSample := pointwise(func(p geom.Vec3, ki int) (float64, error) { return net.Predict(query(p, ki)) })
 	batched := func(centers []geom.Vec3, ki int) ([]float64, error) {
 		qs := make([][]float64, len(centers))
 		for i, p := range centers {
@@ -192,7 +200,7 @@ func TestBuildMapNNBatchWorkerInvariance(t *testing.T) {
 	}
 	vol := geom.MustCuboid(geom.V(0, 0, 0), 4, 3, 2.6)
 	keys := []string{"AA", "BB", "CC"}
-	ref, err := BuildMapOpts(vol, 8, 6, 4, keys, perSample, BuildOptions{Workers: 1})
+	ref, err := BuildMapBatch(vol, 8, 6, 4, keys, perSample, BuildOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -169,7 +169,7 @@ func mapFixture(t *testing.T) *Map {
 		}
 		return -95, nil
 	}
-	m, err := BuildMap(vol, 8, 6, 4, []string{"AA", "BB"}, predict)
+	m, err := BuildMapBatch(vol, 8, 6, 4, []string{"AA", "BB"}, pointwise(predict), BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,18 +178,18 @@ func mapFixture(t *testing.T) *Map {
 
 func TestBuildMapValidation(t *testing.T) {
 	vol := geom.MustCuboid(geom.V(0, 0, 0), 1, 1, 1)
-	ok := func(p geom.Vec3, k int) (float64, error) { return 0, nil }
-	if _, err := BuildMap(vol, 0, 1, 1, []string{"a"}, ok); err == nil {
+	ok := pointwise(func(p geom.Vec3, k int) (float64, error) { return 0, nil })
+	if _, err := BuildMapBatch(vol, 0, 1, 1, []string{"a"}, ok, BuildOptions{}); err == nil {
 		t.Error("zero resolution accepted")
 	}
-	if _, err := BuildMap(vol, 1, 1, 1, nil, ok); err == nil {
+	if _, err := BuildMapBatch(vol, 1, 1, 1, nil, ok, BuildOptions{}); err == nil {
 		t.Error("no keys accepted")
 	}
-	if _, err := BuildMap(vol, 1, 1, 1, []string{"a"}, nil); err == nil {
+	if _, err := BuildMapBatch(vol, 1, 1, 1, []string{"a"}, nil, BuildOptions{}); err == nil {
 		t.Error("nil predictor accepted")
 	}
-	bad := func(p geom.Vec3, k int) (float64, error) { return 0, errors.New("boom") }
-	if _, err := BuildMap(vol, 1, 1, 1, []string{"a"}, bad); err == nil {
+	bad := pointwise(func(p geom.Vec3, k int) (float64, error) { return 0, errors.New("boom") })
+	if _, err := BuildMapBatch(vol, 1, 1, 1, []string{"a"}, bad, BuildOptions{}); err == nil {
 		t.Error("predictor error swallowed")
 	}
 }

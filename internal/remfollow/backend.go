@@ -4,7 +4,6 @@ import (
 	"net/http"
 	"strings"
 
-	"repro/internal/geom"
 	"repro/internal/rem"
 	"repro/internal/remserve"
 	"repro/internal/remstore"
@@ -17,23 +16,11 @@ import (
 // snapshot tag is the leader's tag verbatim, held in one atomic
 // generation pointer with the map it names, so the ETag a client sees
 // always matches the bytes it gets even mid-swap. Its remserve.Reporter
-// methods give the replica its own /healthz and /stats.
-type followBackend struct{ f *Follower }
-
-func (b followBackend) At(key string, p geom.Vec3) (float64, uint64, error) {
-	return b.f.store.At(key, p)
-}
-
-func (b followBackend) AtBatchInto(dst []float64, key string, pts []geom.Vec3) (uint64, error) {
-	return b.f.store.AtBatchInto(dst, key, pts)
-}
-
-func (b followBackend) Strongest(p geom.Vec3) (string, float64, uint64, error) {
-	return b.f.store.Strongest(p)
-}
-
-func (b followBackend) StrongestBatchInto(keys []string, vals []float64, pts []geom.Vec3) (uint64, error) {
-	return b.f.store.StrongestBatchInto(keys, vals, pts)
+// methods give the replica its own /healthz and /stats. The query
+// methods are the local store's own.
+type followBackend struct {
+	*remstore.Store
+	f *Follower
 }
 
 func (b followBackend) Snapshot() (*rem.Map, string, error) {
@@ -56,7 +43,7 @@ func (b followBackend) SnapshotAt(tag string) (*rem.Map, bool) {
 }
 
 func (b followBackend) Stats() remserve.Stats {
-	st := b.f.store.Stats()
+	st := b.Store.Stats()
 	out := remserve.Stats{
 		Shards:    1,
 		Queries:   st.Queries,

@@ -228,7 +228,7 @@ func New(cfg Config) (*Follower, error) {
 	if f.rng == nil {
 		f.rng = newJitterSource()
 	}
-	f.Server = remserve.New(followBackend{f}, remserve.Options{Observer: cfg.Observer})
+	f.Server = remserve.New(followBackend{f.store, f}, remserve.Options{Observer: cfg.Observer})
 	f.store.SetObserver(cfg.Observer)
 	f.initObserver(cfg.Observer)
 	f.stats.Leader = cfg.Leader

@@ -68,7 +68,7 @@ func newLeader(t *testing.T, nKeys, shards int) *leaderHarness {
 		t.Fatal(err)
 	}
 	h := &leaderHarness{t: t, keys: keys, ss: ss}
-	h.srv = httptest.NewServer(remserve.NewSharded(ss, remserve.Options{}))
+	h.srv = httptest.NewServer(remserve.New(remserve.ShardedBackend(ss), remserve.Options{}))
 	t.Cleanup(h.srv.Close)
 	return h
 }
@@ -621,7 +621,7 @@ func TestLeaderRestartResync(t *testing.T) {
 	h2 := newLeader(t, 6, 2)
 	h2.gen = 7 // different field than h's generation 1
 	h2.round()
-	h.srv.Config.Handler = remserve.NewSharded(h2.ss, remserve.Options{})
+	h.srv.Config.Handler = remserve.New(remserve.ShardedBackend(h2.ss), remserve.Options{})
 
 	if err := f.SyncOnce(ctx); err != nil {
 		t.Fatal(err)

@@ -1,26 +1,33 @@
 package remserve
 
 import (
+	"encoding/json"
 	"strconv"
 )
 
-// Fast path for the POST /at body. encoding/json decodes a 512-point
-// batch through per-element reflection, which costs more than the 512
-// store lookups it feeds; this hand-rolled scanner handles the exact
-// shape well-behaved clients send — {"key":"…","points":[[x,y,z],…]},
-// any field order, any JSON number syntax, no escapes in the key —
-// and reports ok=false for anything else so the caller can fall back
+// The JSON request codec of every POST endpoint. encoding/json decodes
+// a 512-point batch through per-element reflection, which costs more
+// than the 512 store lookups it feeds; scanJSONBody, one hand-rolled
+// scanner, handles the exact shape well-behaved clients send —
+// {"key":"…","<rows>":[[…],…]} with rows of width 3 (POST /at and
+// /strongest "points") or 4 (POST /observe "observations"), any field
+// order, any JSON number syntax, an ASCII key without escapes — and
+// reports ok=false for anything else so decodeJSONBody can fall back
 // to encoding/json for full generality. The fallback keeps behaviour
 // identical on every body the fast path declines: exotic-but-legal
 // bodies still parse, malformed ones still get encoding/json's
-// diagnostics (pinned by TestBatchParseMatchesEncodingJSON).
+// diagnostics (pinned by TestBatchParseMatchesEncodingJSON,
+// TestObserveFastPathMatchesEncodingJSON and FuzzJSONBody).
 
-type batchScanner struct {
+// row is one JSON body row: a point or an observation.
+type row interface{ [3]float64 | [4]float64 }
+
+type jsonScanner struct {
 	b []byte
 	i int
 }
 
-func (s *batchScanner) ws() {
+func (s *jsonScanner) ws() {
 	for s.i < len(s.b) {
 		switch s.b[s.i] {
 		case ' ', '\t', '\n', '\r':
@@ -32,7 +39,7 @@ func (s *batchScanner) ws() {
 }
 
 // expect consumes c (after whitespace) or fails.
-func (s *batchScanner) expect(c byte) bool {
+func (s *jsonScanner) expect(c byte) bool {
 	s.ws()
 	if s.i < len(s.b) && s.b[s.i] == c {
 		s.i++
@@ -42,7 +49,7 @@ func (s *batchScanner) expect(c byte) bool {
 }
 
 // peek reports the next non-whitespace byte without consuming it.
-func (s *batchScanner) peek() (byte, bool) {
+func (s *jsonScanner) peek() (byte, bool) {
 	s.ws()
 	if s.i < len(s.b) {
 		return s.b[s.i], true
@@ -50,9 +57,10 @@ func (s *batchScanner) peek() (byte, bool) {
 	return 0, false
 }
 
-// simpleString parses a JSON string with no escapes (a MAC key; a body
-// whose key needs escaping takes the fallback).
-func (s *batchScanner) simpleString() (string, bool) {
+// simpleString parses a JSON string of printable ASCII with no escapes
+// (a MAC key). A key that needs escaping, or holds bytes encoding/json
+// would rewrite (invalid UTF-8 becomes U+FFFD), takes the fallback.
+func (s *jsonScanner) simpleString() (string, bool) {
 	if !s.expect('"') {
 		return "", false
 	}
@@ -64,7 +72,7 @@ func (s *batchScanner) simpleString() (string, bool) {
 			str := string(s.b[start:s.i])
 			s.i++
 			return str, true
-		case c == '\\' || c < 0x20:
+		case c == '\\' || c < 0x20 || c >= 0x80:
 			return "", false
 		default:
 			s.i++
@@ -79,7 +87,7 @@ func (s *batchScanner) simpleString() (string, bool) {
 // those here would make the fast path serve bodies the generic decoder
 // rejects. Range overflow ("1e999") fails ParseFloat and falls back,
 // where encoding/json produces the client-visible error.
-func (s *batchScanner) number() (float64, bool) {
+func (s *jsonScanner) number() (float64, bool) {
 	s.ws()
 	start := s.i
 	for s.i < len(s.b) {
@@ -143,18 +151,18 @@ func validJSONNumber(b []byte) bool {
 	return i == len(b)
 }
 
-// parseBatchFast decodes body into req. ok=false means "shape outside
-// the fast subset — use encoding/json"; it never reports success on a
-// body the generic decoder would reject with an error the client needs
-// to see.
-func parseBatchFast(body []byte, req *batchReq) bool {
-	s := batchScanner{b: body}
+// scanJSONBody decodes {"key":…,"<field>":[[…],…]} into key and rows.
+// ok=false means "shape outside the fast subset — use encoding/json";
+// it never reports success on a body the generic decoder would reject
+// with an error the client needs to see, or decode differently.
+func scanJSONBody[R row](body []byte, field string, key *string, rows *[]R) bool {
+	s := jsonScanner{b: body}
 	if !s.expect('{') {
 		return false
 	}
-	req.Key = ""
-	req.Points = req.Points[:0]
-	sawKey, sawPoints := false, false
+	*key = ""
+	*rows = (*rows)[:0]
+	sawKey, sawRows := false, false
 	if c, ok := s.peek(); ok && c == '}' {
 		s.i++
 	} else {
@@ -163,59 +171,20 @@ func parseBatchFast(body []byte, req *batchReq) bool {
 			if !ok || !s.expect(':') {
 				return false
 			}
-			switch name {
-			case "key":
-				if sawKey {
-					return false // duplicate field semantics → fallback
-				}
+			switch {
+			case name == "key" && !sawKey:
 				sawKey = true
-				k, ok := s.simpleString()
-				if !ok {
+				if *key, ok = s.simpleString(); !ok {
 					return false
 				}
-				req.Key = k
-			case "points":
-				if sawPoints {
-					return false
-				}
-				sawPoints = true
-				if !s.expect('[') {
-					return false
-				}
-				if c, ok := s.peek(); ok && c == ']' {
-					s.i++
-					break
-				}
-				for {
-					if !s.expect('[') {
-						return false
-					}
-					var p [3]float64
-					for d := 0; d < 3; d++ {
-						v, ok := s.number()
-						if !ok {
-							return false
-						}
-						p[d] = v
-						if d < 2 && !s.expect(',') {
-							return false
-						}
-					}
-					if !s.expect(']') {
-						return false
-					}
-					req.Points = append(req.Points, p)
-					if c, ok := s.peek(); ok && c == ',' {
-						s.i++
-						continue
-					}
-					break
-				}
-				if !s.expect(']') {
+			case name == field && !sawRows:
+				sawRows = true
+				if !scanRows(&s, rows) {
 					return false
 				}
 			default:
-				return false // unknown field → let encoding/json decide
+				// An unknown or duplicate field: let encoding/json decide.
+				return false
 			}
 			if c, ok := s.peek(); ok && c == ',' {
 				s.i++
@@ -229,4 +198,63 @@ func parseBatchFast(body []byte, req *batchReq) bool {
 	}
 	s.ws()
 	return s.i == len(s.b)
+}
+
+// scanRows parses [[…],…], every row exactly len(R) numbers wide.
+func scanRows[R row](s *jsonScanner, rows *[]R) bool {
+	if !s.expect('[') {
+		return false
+	}
+	if c, ok := s.peek(); ok && c == ']' {
+		s.i++
+		return true
+	}
+	for {
+		if !s.expect('[') {
+			return false
+		}
+		var r R
+		for d := 0; d < len(r); d++ {
+			v, ok := s.number()
+			if !ok {
+				return false
+			}
+			r[d] = v
+			if d < len(r)-1 && !s.expect(',') {
+				return false
+			}
+		}
+		if !s.expect(']') {
+			return false
+		}
+		*rows = append(*rows, r)
+		if c, ok := s.peek(); ok && c == ',' {
+			s.i++
+			continue
+		}
+		return s.expect(']')
+	}
+}
+
+// decodeJSONBody is the one JSON request decoder: the fast scanner,
+// the encoding/json fallback into req (the *batchReq or *observeReq
+// whose Key and rows field key and rows point into — its type name is
+// part of encoding/json's diagnostics, so each endpoint keeps its own),
+// then the finiteness check. what names the body in errors ("batch",
+// "observe"); field is the rows member, whose singular names a row.
+func decodeJSONBody[R row](body []byte, req any, key *string, rows *[]R, field, what string) *wireError {
+	if !scanJSONBody(body, field, key, rows) {
+		*key, *rows = "", (*rows)[:0]
+		if err := json.Unmarshal(body, req); err != nil {
+			return wireErrorf(400, "remserve: bad %s body: %s", what, err.Error())
+		}
+	}
+	for i, r := range *rows {
+		for d := 0; d < len(r); d++ {
+			if !finite(r[d]) {
+				return wireErrorf(400, "remserve: %s %d is not finite", field[:len(field)-1], i)
+			}
+		}
+	}
+	return nil
 }

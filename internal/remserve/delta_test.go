@@ -55,7 +55,7 @@ func TestDeltaEndpointMonolithic(t *testing.T) {
 	if _, err := st.Publish(m2, 2); err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewStore(st, Options{}))
+	srv := httptest.NewServer(New(StoreBackend(st), Options{}))
 	defer srv.Close()
 
 	status, hdr, body := get(t, srv.URL+"/delta?from=1")
@@ -133,7 +133,7 @@ func TestDeltaEndpointSharded(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			srv := httptest.NewServer(NewSharded(ss, Options{}))
+			srv := httptest.NewServer(New(ShardedBackend(ss), Options{}))
 			defer srv.Close()
 
 			status, hdr, body := get(t, srv.URL+"/delta?from="+baseTag)
@@ -168,7 +168,7 @@ func TestDeltaEndpointSharded(t *testing.T) {
 // TestDeltaEndpointEmpty: before anything publishes, /delta is 503 like
 // every other query.
 func TestDeltaEndpointEmpty(t *testing.T) {
-	srv := httptest.NewServer(NewStore(remstore.New(0), Options{}))
+	srv := httptest.NewServer(New(StoreBackend(remstore.New(0)), Options{}))
 	defer srv.Close()
 	if status, _, _ := get(t, srv.URL+"/delta?from=1"); status != http.StatusServiceUnavailable {
 		t.Fatalf("empty store delta: status %d, want 503", status)
@@ -182,11 +182,11 @@ func TestDeltaEndpointEmpty(t *testing.T) {
 // the hardened default, negative disables, positive passes through.
 func TestServerTimeouts(t *testing.T) {
 	st := remstore.New(0)
-	hs := NewStore(st, Options{}).httpServer()
+	hs := New(StoreBackend(st), Options{}).httpServer()
 	if hs.ReadHeaderTimeout != DefaultReadHeaderTimeout || hs.ReadTimeout != DefaultReadTimeout || hs.IdleTimeout != DefaultIdleTimeout {
 		t.Fatalf("default timeouts = %v/%v/%v", hs.ReadHeaderTimeout, hs.ReadTimeout, hs.IdleTimeout)
 	}
-	hs = NewStore(st, Options{
+	hs = New(StoreBackend(st), Options{
 		ReadHeaderTimeout: 7 * time.Second,
 		ReadTimeout:       -1,
 		IdleTimeout:       time.Minute,

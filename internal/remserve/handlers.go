@@ -206,10 +206,7 @@ func writeWire(w http.ResponseWriter, body []byte) {
 	w.Write(body)
 }
 
-// handleAt serves GET /at?key=K&x=…&y=…[&z=…]. An Accept naming the
-// binary wire media type switches the response to the "REMS" keyed
-// message (the raw value bits, no text rendering); JSON stays the
-// default.
+// handleAt serves GET /at?key=K&x=…&y=…[&z=…].
 func (s *Server) handleAt(w http.ResponseWriter, r *http.Request) {
 	key, p, err := queryParams(r.URL.RawQuery, true)
 	if err != nil {
@@ -221,30 +218,11 @@ func (s *Server) handleAt(w http.ResponseWriter, r *http.Request) {
 		queryError(w, err)
 		return
 	}
-	if acceptsWire(r.Header.Get("Accept")) {
-		bb := bufPool.Get().(*buffers)
-		b := appendWireKeyedResponse(bb.out[:0], ver, key, v)
-		writeWire(w, b)
-		bb.out = b
-		bufPool.Put(bb)
-		return
-	}
-	bb := bufPool.Get().(*buffers)
-	b := append(bb.out[:0], `{"key":`...)
-	b = appendJSONString(b, key)
-	b = append(b, `,"value":`...)
-	b = appendJSONFloat(b, v)
-	b = append(b, `,"version":`...)
-	b = strconv.AppendUint(b, ver, 10)
-	b = append(b, "}\n"...)
-	writeJSON(w, b)
-	bb.out = b
-	bufPool.Put(bb)
+	writeKeyed(w, r, key, v, ver)
 }
 
-// handleStrongest serves GET /strongest?x=…&y=…[&z=…], with the same
-// Accept-negotiated binary variant as GET /at (the winning key rides in
-// the "REMS" message).
+// handleStrongest serves GET /strongest?x=…&y=…[&z=…]; the winning key
+// rides in the response exactly like GET /at's echoed one.
 func (s *Server) handleStrongest(w http.ResponseWriter, r *http.Request) {
 	_, p, err := queryParams(r.URL.RawQuery, false)
 	if err != nil {
@@ -256,52 +234,39 @@ func (s *Server) handleStrongest(w http.ResponseWriter, r *http.Request) {
 		queryError(w, err)
 		return
 	}
-	if acceptsWire(r.Header.Get("Accept")) {
-		bb := bufPool.Get().(*buffers)
-		b := appendWireKeyedResponse(bb.out[:0], ver, key, v)
-		writeWire(w, b)
-		bb.out = b
-		bufPool.Put(bb)
-		return
-	}
+	writeKeyed(w, r, key, v, ver)
+}
+
+// writeKeyed is the one response writer of the keyed GET endpoints: an
+// Accept naming the binary wire media type selects the "REMS" keyed
+// message (the raw value bits, no text rendering), anything else the
+// JSON {"key":…,"value":…,"version":…} default.
+func writeKeyed(w http.ResponseWriter, r *http.Request, key string, v float64, ver uint64) {
 	bb := bufPool.Get().(*buffers)
-	b := append(bb.out[:0], `{"key":`...)
-	b = appendJSONString(b, key)
-	b = append(b, `,"value":`...)
-	b = appendJSONFloat(b, v)
-	b = append(b, `,"version":`...)
-	b = strconv.AppendUint(b, ver, 10)
-	b = append(b, "}\n"...)
-	writeJSON(w, b)
-	bb.out = b
+	if acceptsWire(r.Header.Get("Accept")) {
+		bb.out = appendWireKeyedResponse(bb.out[:0], ver, key, v)
+		writeWire(w, bb.out)
+	} else {
+		b := append(bb.out[:0], `{"key":`...)
+		b = appendJSONString(b, key)
+		b = append(b, `,"value":`...)
+		b = appendJSONFloat(b, v)
+		b = append(b, `,"version":`...)
+		b = strconv.AppendUint(b, ver, 10)
+		bb.out = append(b, "}\n"...)
+		writeJSON(w, bb.out)
+	}
 	bufPool.Put(bb)
 }
 
 // handleAtBatch serves POST /at: the key is resolved once and the whole
-// batch is answered by one snapshot of the owning store. The request
-// codec follows Content-Type — the binary wire format
-// (application/x-rem-batch, decoded straight into the pooled point
-// buffer with zero text parsing) or JSON (the fast-path scanner with the
-// encoding/json fallback, unchanged) — and the response codec follows
-// Accept independently, so any of the four format pairings works.
-// Bodies over MaxBatchBytes and batches over MaxBatchPoints get 413 on
-// both codecs.
+// batch is answered by one snapshot of the owning store. The response
+// codec follows Accept independently of the request codec, so any of
+// the four format pairings works.
 func (s *Server) handleAtBatch(w http.ResponseWriter, r *http.Request) {
 	bb := bufPool.Get().(*buffers)
 	defer func() { bufPool.Put(bb) }()
-	body, ok := s.readCappedBody(w, r, bb)
-	if !ok {
-		return
-	}
-	if isWireContentType(r.Header.Get("Content-Type")) {
-		if err := decodeWireBatch(body, bb, s.maxPoints, false); err != nil {
-			we := err.(*wireError)
-			http.Error(w, we.msg, we.status)
-			return
-		}
-	} else if err := s.parseJSONBatch(body, bb, true); err != nil {
-		we := err.(*wireError)
-		http.Error(w, we.msg, we.status)
+	if !s.decodeBatch(w, r, bb, true) {
 		return
 	}
 	if cap(bb.vals) < len(bb.pts) {
@@ -337,30 +302,17 @@ func (s *Server) handleAtBatch(w http.ResponseWriter, r *http.Request) {
 
 // handleStrongestBatch serves POST /strongest: a best-server query for
 // every point of the batch, answered through the coverage index of the
-// serving snapshot(s). The codec negotiation mirrors POST /at —
-// Content-Type picks the request decoder (JSON `{"points":[[x,y,z],…]}`
-// or a "REMQ" message with a zero-length key; a key is accepted and
-// ignored on both, strongest always scans the whole vocabulary), Accept
-// picks the response encoder (JSON `{"keys":…,"values":…,"version":…}`
-// or the "REMW" keyed-batch message) — and the same size caps apply.
-// The version is the serving snapshot generation for a monolithic
-// backend and 0 for a sharded one.
+// serving snapshot(s). The request is POST /at's without the key (JSON
+// `{"points":[[x,y,z],…]}` or a "REMQ" message with a zero-length key;
+// a key is accepted and ignored on both, strongest always scans the
+// whole vocabulary); Accept picks the response encoder (JSON
+// `{"keys":…,"values":…,"version":…}` or the "REMW" keyed-batch
+// message). The version is the serving snapshot generation for a
+// monolithic backend and 0 for a sharded one.
 func (s *Server) handleStrongestBatch(w http.ResponseWriter, r *http.Request) {
 	bb := bufPool.Get().(*buffers)
 	defer func() { bufPool.Put(bb) }()
-	body, ok := s.readCappedBody(w, r, bb)
-	if !ok {
-		return
-	}
-	if isWireContentType(r.Header.Get("Content-Type")) {
-		if err := decodeWireBatch(body, bb, s.maxPoints, true); err != nil {
-			we := err.(*wireError)
-			http.Error(w, we.msg, we.status)
-			return
-		}
-	} else if err := s.parseJSONBatch(body, bb, false); err != nil {
-		we := err.(*wireError)
-		http.Error(w, we.msg, we.status)
+	if !s.decodeBatch(w, r, bb, false) {
 		return
 	}
 	if cap(bb.vals) < len(bb.pts) {
@@ -403,22 +355,39 @@ func (s *Server) handleStrongestBatch(w http.ResponseWriter, r *http.Request) {
 	bb.out = b
 }
 
-// parseJSONBatch is the JSON request codec: the strict fast-path
-// scanner, the encoding/json fallback for anything outside its subset,
-// then the finiteness and batch-size checks — producing bb.req.Key and
-// bb.pts exactly like the binary decoder does. needKey is false on
-// POST /strongest, whose body is `{"points":…}` (a "key" member is
-// accepted and ignored — strongest scans the whole vocabulary).
+// decodeBatch is the one request decoder of the batch query endpoints
+// (POST /at, POST /strongest): the shared body cap, then Content-Type
+// picks the codec — the binary wire format (application/x-rem-batch,
+// decoded straight into the pooled point buffer with zero text
+// parsing) or JSON — and a malformed body answers with its wireError's
+// status (413 over MaxBatchPoints on both codecs). Either codec leaves
+// bb.req.Key and bb.pts set; needKey is false on POST /strongest. ok is
+// false when a response has already been written.
+func (s *Server) decodeBatch(w http.ResponseWriter, r *http.Request, bb *buffers, needKey bool) bool {
+	body, ok := s.readCappedBody(w, r, bb)
+	if !ok {
+		return false
+	}
+	var err error
+	if isWireContentType(r.Header.Get("Content-Type")) {
+		err = decodeWireBatch(body, bb, s.maxPoints, !needKey)
+	} else {
+		err = s.parseJSONBatch(body, bb, needKey)
+	}
+	if err != nil {
+		we := err.(*wireError)
+		http.Error(w, we.msg, we.status)
+		return false
+	}
+	return true
+}
+
+// parseJSONBatch is the JSON batch codec: the shared JSON decoder, then
+// the key and batch-size checks — producing bb.req.Key and bb.pts
+// exactly like the binary decoder does.
 func (s *Server) parseJSONBatch(body []byte, bb *buffers, needKey bool) error {
-	if !parseBatchFast(body, &bb.req) {
-		// Outside the fast subset: decode generically, so exotic-but-
-		// legal bodies still work and malformed ones get encoding/json's
-		// diagnostics.
-		bb.req.Key = ""
-		bb.req.Points = bb.req.Points[:0]
-		if err := json.Unmarshal(body, &bb.req); err != nil {
-			return wireErrorf(400, "remserve: bad batch body: %s", err.Error())
-		}
+	if err := decodeJSONBody(body, &bb.req, &bb.req.Key, &bb.req.Points, "points", "batch"); err != nil {
+		return err
 	}
 	if needKey && bb.req.Key == "" {
 		return wireErrorf(400, `remserve: batch body needs a "key"`)
@@ -427,12 +396,7 @@ func (s *Server) parseJSONBatch(body []byte, bb *buffers, needKey bool) error {
 		return wireErrorf(413, "remserve: batch of %d points exceeds the %d-point cap", len(bb.req.Points), s.maxPoints)
 	}
 	bb.pts = bb.pts[:0]
-	for i, q := range bb.req.Points {
-		for _, c := range q {
-			if math.IsNaN(c) || math.IsInf(c, 0) {
-				return wireErrorf(400, "remserve: point %d is not finite", i)
-			}
-		}
+	for _, q := range bb.req.Points {
 		bb.pts = append(bb.pts, geom.V(q[0], q[1], q[2]))
 	}
 	return nil
@@ -455,42 +419,10 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		queryError(w, err)
 		return
 	}
-	etag := `"` + tag + `"`
-	h := w.Header()
-	h.Set("ETag", etag)
-	h["Vary"] = varyAE
-	if etagMatch(r.Header.Get("If-None-Match"), etag) {
-		w.WriteHeader(http.StatusNotModified)
+	if !validators(w, r, tag, false) {
 		return
 	}
-	h["Content-Type"] = binCT
-	h.Set("X-REM-Version", tag)
-	gz := acceptsGzip(r.Header.Get("Accept-Encoding"))
-	if gz {
-		h.Set("Content-Encoding", "gzip")
-	}
-	if r.Method == http.MethodHead {
-		// Validators are set; skip serialising a body net/http would
-		// discard anyway.
-		return
-	}
-	if !gz {
-		if _, err := m.WriteTo(w); err != nil {
-			// Headers are gone; all we can do is abandon the connection.
-			return
-		}
-		return
-	}
-	zw := gzPool.Get().(*gzip.Writer)
-	zw.Reset(w)
-	_, werr := m.WriteTo(zw)
-	cerr := zw.Close()
-	gzPool.Put(zw)
-	if werr != nil || cerr != nil {
-		// Headers (and possibly partial compressed bytes) are gone;
-		// abandon the connection.
-		return
-	}
+	writeBody(w, r, binCT, m.WriteTo)
 }
 
 // handleDelta serves GET /delta?from=<tag>: the tile-delta ("REMD")
@@ -519,41 +451,18 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, `remserve: /delta needs a "from" version tag`, http.StatusBadRequest)
 		return
 	}
-	etag := `"` + tag + `"`
-	h := w.Header()
-	h.Set("ETag", etag)
-	h["Vary"] = varyAE
-	if from == tag || etagMatch(r.Header.Get("If-None-Match"), etag) {
-		w.WriteHeader(http.StatusNotModified)
+	if !validators(w, r, tag, from == tag) {
 		return
 	}
-	h.Set("X-REM-Version", tag)
-	gz := acceptsGzip(r.Header.Get("Accept-Encoding"))
 	if base, ok := s.b.SnapshotAt(from); ok {
 		bb := bufPool.Get().(*buffers)
 		b, err := rem.AppendDelta(bb.out[:0], base, m)
 		if err == nil {
-			h["Content-Type"] = deltaCT
-			h.Set("X-REM-Delta-Base", from)
-			if gz {
-				h.Set("Content-Encoding", "gzip")
-			}
-			if r.Method == http.MethodHead {
-				bb.out = b
-				bufPool.Put(bb)
-				return
-			}
-			if !gz {
-				w.Write(b)
-			} else {
-				zw := gzPool.Get().(*gzip.Writer)
-				zw.Reset(w)
-				_, werr := zw.Write(b)
-				cerr := zw.Close()
-				gzPool.Put(zw)
-				_ = werr
-				_ = cerr // headers are gone either way; nothing to report
-			}
+			w.Header().Set("X-REM-Delta-Base", from)
+			writeBody(w, r, deltaCT, func(dst io.Writer) (int64, error) {
+				n, err := dst.Write(b)
+				return int64(n), err
+			})
 			bb.out = b
 			bufPool.Put(bb)
 			return
@@ -563,30 +472,52 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 		// evicted one.
 		bufPool.Put(bb)
 	}
-	h["Content-Type"] = binCT
+	writeBody(w, r, binCT, m.WriteTo)
+}
+
+// validators sets the generation headers /snapshot and /delta share —
+// a strong ETag from the serving tag (the same for both encodings) and
+// Vary: Accept-Encoding — and answers 304 when the client already holds
+// that generation (current, or a matching If-None-Match). Otherwise it
+// stamps X-REM-Version and reports that a body should follow.
+func validators(w http.ResponseWriter, r *http.Request, tag string, current bool) bool {
+	etag := `"` + tag + `"`
+	h := w.Header()
+	h.Set("ETag", etag)
+	h["Vary"] = varyAE
+	if current || etagMatch(r.Header.Get("If-None-Match"), etag) {
+		w.WriteHeader(http.StatusNotModified)
+		return false
+	}
+	h.Set("X-REM-Version", tag)
+	return true
+}
+
+// writeBody is the one body writer behind /snapshot and /delta: it
+// installs the Content-Type, compresses when Accept-Encoding admits
+// gzip (pooled writers; the decompressed bytes are exactly what body
+// writes) and skips serialising a HEAD body net/http would discard.
+func writeBody(w http.ResponseWriter, r *http.Request, ct []string, body func(io.Writer) (int64, error)) {
+	h := w.Header()
+	h["Content-Type"] = ct
+	gz := acceptsGzip(r.Header.Get("Accept-Encoding"))
 	if gz {
 		h.Set("Content-Encoding", "gzip")
 	}
 	if r.Method == http.MethodHead {
 		return
 	}
+	// Past the headers a write error has no one to report to: the
+	// response is abandoned where it stopped.
 	if !gz {
-		if _, err := m.WriteTo(w); err != nil {
-			// Headers are gone; abandon the connection.
-			return
-		}
+		_, _ = body(w)
 		return
 	}
 	zw := gzPool.Get().(*gzip.Writer)
 	zw.Reset(w)
-	_, werr := m.WriteTo(zw)
-	cerr := zw.Close()
+	_, _ = body(zw)
+	_ = zw.Close()
 	gzPool.Put(zw)
-	if werr != nil || cerr != nil {
-		// Headers (and possibly partial compressed bytes) are gone;
-		// abandon the connection.
-		return
-	}
 }
 
 // gzPool recycles gzip writers across /snapshot downloads — the

@@ -21,7 +21,7 @@ func ingestServer(t *testing.T, qc remwal.QueueConfig, token string) (*httptest.
 	ss, _, _ := newServedShards(t, 4, 2)
 	q := remwal.NewQueue(qc)
 	t.Cleanup(q.Close)
-	srv := httptest.NewServer(NewSharded(ss, Options{Ingest: IngestOptions{Queue: q, Token: token}}))
+	srv := httptest.NewServer(New(ShardedBackend(ss), Options{Ingest: IngestOptions{Queue: q, Token: token}}))
 	t.Cleanup(srv.Close)
 	return srv, q
 }
@@ -140,7 +140,7 @@ func TestObserveAuth(t *testing.T) {
 
 func TestObserveDisabledIs404(t *testing.T) {
 	ss, _, _ := newServedShards(t, 4, 2)
-	srv := httptest.NewServer(NewSharded(ss, Options{}))
+	srv := httptest.NewServer(New(ShardedBackend(ss), Options{}))
 	defer srv.Close()
 	resp := postObserve(t, srv.URL, "", "", []byte(`{"key":"aa:00","observations":[[1,2,0.5,-48]]}`))
 	if resp.StatusCode != http.StatusNotFound {
@@ -205,7 +205,7 @@ func TestObservePointCap(t *testing.T) {
 	ss, _, _ := newServedShards(t, 4, 2)
 	q := remwal.NewQueue(remwal.QueueConfig{Capacity: 4})
 	defer q.Close()
-	srv := httptest.NewServer(NewSharded(ss, Options{
+	srv := httptest.NewServer(New(ShardedBackend(ss), Options{
 		MaxBatchPoints: 3,
 		Ingest:         IngestOptions{Queue: q},
 	}))
@@ -235,32 +235,36 @@ func TestObservePointCap(t *testing.T) {
 	}
 }
 
-// TestObserveFastPathMatchesEncodingJSON pins the fast-path scanner
-// against the generic decoder over accept and reject cases.
+// observeBodies are observations bodies, inside and outside the fast
+// subset.
+var observeBodies = []string{
+	`{"key":"aa:00","observations":[[1,2,0.5,-48]]}`,
+	`{ "key" : "aa:00" , "observations" : [ [1,2,3,4] , [5,6,7,8] ] }`,
+	`{"observations":[[1,2,3,4]],"key":"aa:00"}`,
+	`{"key":"aa:00","observations":[]}`,
+	`{"key":"","observations":[[1,2,3,4]]}`,
+	`{"key":"aa:00","observations":[[1,2,3]]}`,
+	`{"key":"aa:00","observations":[[1,2,3,4,5]]}`,
+	`{"key":"aa:00","observations":[[1,2,3,"x"]]}`,
+	`{"key":"aa:00"}`,
+	`{"key":"aa:00","observations":[[1e2,-2.5E-1,0.5,-4.8e1]]}`,
+	`{"key":"é","observations":[[1,2,3,4]]}`,
+	`{}`,
+	`[]`,
+	`{"key":"aa:00","observations":[[1,2,3,4]]} trailing`,
+	`{"key":"aa:00","key":"bb:11","observations":[[1,2,3,4]]}`,
+	`{"key":"aa:00","extra":1,"observations":[[1,2,3,4]]}`,
+}
+
+// TestObserveFastPathMatchesEncodingJSON pins the fast-path scanner on
+// the observations shape against the generic decoder over accept and
+// reject cases.
 func TestObserveFastPathMatchesEncodingJSON(t *testing.T) {
-	cases := []string{
-		`{"key":"aa:00","observations":[[1,2,0.5,-48]]}`,
-		`{ "key" : "aa:00" , "observations" : [ [1,2,3,4] , [5,6,7,8] ] }`,
-		`{"observations":[[1,2,3,4]],"key":"aa:00"}`,
-		`{"key":"aa:00","observations":[]}`,
-		`{"key":"","observations":[[1,2,3,4]]}`,
-		`{"key":"aa:00","observations":[[1,2,3]]}`,
-		`{"key":"aa:00","observations":[[1,2,3,4,5]]}`,
-		`{"key":"aa:00","observations":[[1,2,3,"x"]]}`,
-		`{"key":"aa:00"}`,
-		`{"key":"aa:00","observations":[[1e2,-2.5E-1,0.5,-4.8e1]]}`,
-		`{"key":"é","observations":[[1,2,3,4]]}`,
-		`{}`,
-		`[]`,
-		`{"key":"aa:00","observations":[[1,2,3,4]]} trailing`,
-		`{"key":"aa:00","key":"bb:11","observations":[[1,2,3,4]]}`,
-		`{"key":"aa:00","extra":1,"observations":[[1,2,3,4]]}`,
-	}
-	for _, body := range cases {
+	for _, body := range observeBodies {
 		var want observeReq
 		wantErr := json.Unmarshal([]byte(body), &want) != nil
 		var got observeReq
-		if !parseObserveFast([]byte(body), &got) {
+		if !scanJSONBody([]byte(body), "observations", &got.Key, &got.Observations) {
 			continue // fallback handles it — always safe
 		}
 		if wantErr {

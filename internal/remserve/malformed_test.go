@@ -35,7 +35,7 @@ func TestMalformedRequests(t *testing.T) {
 		}
 		return nil
 	})
-	srv := httptest.NewServer(NewSharded(ss, Options{
+	srv := httptest.NewServer(New(ShardedBackend(ss), Options{
 		MaxBatchBytes: 256, MaxBatchPoints: 4,
 		Ingest: IngestOptions{Queue: q},
 	}))
@@ -152,7 +152,7 @@ func TestEmptyAndPartialStores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewSharded(ss, Options{}))
+	srv := httptest.NewServer(New(ShardedBackend(ss), Options{}))
 	defer srv.Close()
 
 	for _, path := range []string{

@@ -58,7 +58,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 	obs := remobs.New(0)
 	ss, _, keys := newServedShards(t, 5, 2)
 	ss.SetObserver(obs)
-	srv := httptest.NewServer(NewSharded(ss, Options{Observer: obs}))
+	srv := httptest.NewServer(New(ShardedBackend(ss), Options{Observer: obs}))
 	defer srv.Close()
 
 	before := scrape(t, srv.URL)
@@ -130,7 +130,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 // without an Observer does not reveal a /metrics surface.
 func TestMetricsWithoutObserver(t *testing.T) {
 	ss, _, _ := newServedShards(t, 3, 1)
-	srv := httptest.NewServer(NewSharded(ss, Options{}))
+	srv := httptest.NewServer(New(ShardedBackend(ss), Options{}))
 	defer srv.Close()
 	if status, _, _ := get(t, srv.URL+"/metrics"); status != http.StatusNotFound {
 		t.Fatalf("GET /metrics without observer: status %d, want 404", status)
@@ -146,7 +146,7 @@ func TestMetricsConcurrentScrape(t *testing.T) {
 	obs := remobs.New(0)
 	ss, _, keys := newServedShards(t, 5, 2)
 	ss.SetObserver(obs)
-	srv := NewSharded(ss, Options{Observer: obs})
+	srv := New(ShardedBackend(ss), Options{Observer: obs})
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -217,7 +217,7 @@ func TestInstrumentedServeZeroAlloc(t *testing.T) {
 	obs := remobs.New(0)
 	ss, _, keys := newServedShards(t, 5, 2)
 	ss.SetObserver(obs)
-	srv := NewSharded(ss, Options{Observer: obs})
+	srv := New(ShardedBackend(ss), Options{Observer: obs})
 
 	getReq := httptest.NewRequest(http.MethodGet,
 		fmt.Sprintf("/at?key=%s&x=1&y=1&z=1", keys[0]), nil)

@@ -126,7 +126,7 @@ func TestLimiterEviction(t *testing.T) {
 func TestRateLimitOverHTTP(t *testing.T) {
 	ss, _, keys := newServedShards(t, 4, 2)
 	clk := &fakeClock{t: time.Unix(1000, 0)}
-	srv := httptest.NewServer(NewSharded(ss, Options{
+	srv := httptest.NewServer(New(ShardedBackend(ss), Options{
 		RateLimit: RateLimit{RPS: 1, Burst: 3, Now: clk.now},
 	}))
 	defer srv.Close()
@@ -184,7 +184,7 @@ func TestRateLimitOverHTTP(t *testing.T) {
 	}
 
 	// Zero-value Options: no limiter at all.
-	free := httptest.NewServer(NewSharded(ss, Options{}))
+	free := httptest.NewServer(New(ShardedBackend(ss), Options{}))
 	defer free.Close()
 	for i := 0; i < 20; i++ {
 		r, err := http.Get(free.URL + "/at?key=" + keys[0] + "&x=1&y=1")
@@ -206,7 +206,7 @@ func TestRateLimitOverHTTP(t *testing.T) {
 // Vary: Accept-Encoding on every response.
 func TestSnapshotGzip(t *testing.T) {
 	ss, _, _ := newServedShards(t, 6, 2)
-	srv := httptest.NewServer(NewSharded(ss, Options{}))
+	srv := httptest.NewServer(New(ShardedBackend(ss), Options{}))
 	defer srv.Close()
 
 	// Identity download first: the reference bytes and ETag.

@@ -169,31 +169,16 @@ func parseVersionTag(tag string) ([]uint64, bool) {
 	return versions, len(versions) > 0
 }
 
-// storeBackend fronts one monolithic remstore.Store.
-type storeBackend struct{ st *remstore.Store }
+// storeBackend fronts one monolithic remstore.Store; the query methods
+// are the store's own.
+type storeBackend struct{ *remstore.Store }
 
 // StoreBackend adapts a monolithic snapshot store to the serving
 // surface.
 func StoreBackend(st *remstore.Store) Backend { return storeBackend{st} }
 
-func (b storeBackend) At(key string, p geom.Vec3) (float64, uint64, error) {
-	return b.st.At(key, p)
-}
-
-func (b storeBackend) AtBatchInto(dst []float64, key string, pts []geom.Vec3) (uint64, error) {
-	return b.st.AtBatchInto(dst, key, pts)
-}
-
-func (b storeBackend) Strongest(p geom.Vec3) (string, float64, uint64, error) {
-	return b.st.Strongest(p)
-}
-
-func (b storeBackend) StrongestBatchInto(keys []string, vals []float64, pts []geom.Vec3) (uint64, error) {
-	return b.st.StrongestBatchInto(keys, vals, pts)
-}
-
 func (b storeBackend) Snapshot() (*rem.Map, string, error) {
-	s := b.st.Current()
+	s := b.Current()
 	if s == nil {
 		return nil, "", ErrEmpty
 	}
@@ -205,7 +190,7 @@ func (b storeBackend) SnapshotAt(tag string) (*rem.Map, bool) {
 	if !ok || len(versions) != 1 {
 		return nil, false
 	}
-	s := b.st.SnapshotAt(versions[0])
+	s := b.Store.SnapshotAt(versions[0])
 	if s == nil {
 		return nil, false
 	}
@@ -213,7 +198,7 @@ func (b storeBackend) SnapshotAt(tag string) (*rem.Map, bool) {
 }
 
 func (b storeBackend) Stats() Stats {
-	st := b.st.Stats()
+	st := b.Store.Stats()
 	out := Stats{
 		Serving:   st.CurrentVersion > 0,
 		Shards:    1,
@@ -229,32 +214,21 @@ func (b storeBackend) Stats() Stats {
 	return out
 }
 
-// shardedBackend fronts a remshard.ShardedStore.
-type shardedBackend struct{ ss *remshard.ShardedStore }
+// shardedBackend fronts a remshard.ShardedStore; At, AtBatchInto and
+// Strongest are the store's own.
+type shardedBackend struct{ *remshard.ShardedStore }
 
 // ShardedBackend adapts a sharded store to the serving surface.
 func ShardedBackend(ss *remshard.ShardedStore) Backend { return shardedBackend{ss} }
 
-func (b shardedBackend) At(key string, p geom.Vec3) (float64, uint64, error) {
-	return b.ss.At(key, p)
-}
-
-func (b shardedBackend) AtBatchInto(dst []float64, key string, pts []geom.Vec3) (uint64, error) {
-	return b.ss.AtBatchInto(dst, key, pts)
-}
-
-func (b shardedBackend) Strongest(p geom.Vec3) (string, float64, uint64, error) {
-	return b.ss.Strongest(p)
-}
-
 func (b shardedBackend) StrongestBatchInto(keys []string, vals []float64, pts []geom.Vec3) (uint64, error) {
 	// A sharded batch may merge answers from different shard snapshots;
 	// there is no single serving version to report, so the tag is 0.
-	return 0, b.ss.StrongestBatchInto(keys, vals, pts)
+	return 0, b.ShardedStore.StrongestBatchInto(keys, vals, pts)
 }
 
 func (b shardedBackend) Snapshot() (*rem.Map, string, error) {
-	m, versions, err := b.ss.MergedSnapshotVersions()
+	m, versions, err := b.MergedSnapshotVersions()
 	if err != nil {
 		return nil, "", err
 	}
@@ -263,14 +237,14 @@ func (b shardedBackend) Snapshot() (*rem.Map, string, error) {
 
 func (b shardedBackend) SnapshotAt(tag string) (*rem.Map, bool) {
 	versions, ok := parseVersionTag(tag)
-	if !ok || len(versions) != b.ss.NumShards() {
+	if !ok || len(versions) != b.NumShards() {
 		return nil, false
 	}
-	return b.ss.MergedSnapshotAt(versions)
+	return b.MergedSnapshotAt(versions)
 }
 
 func (b shardedBackend) Stats() Stats {
-	st := b.ss.Stats()
+	st := b.ShardedStore.Stats()
 	out := Stats{
 		Serving:  true,
 		Shards:   st.Shards,
@@ -283,7 +257,7 @@ func (b shardedBackend) Stats() Stats {
 		versions[si] = ps.CurrentVersion
 		out.Publishes += ps.Publishes
 		out.Evictions += ps.Evictions
-		if ps.CurrentVersion == 0 && b.ss.ShardLen(si) > 0 {
+		if ps.CurrentVersion == 0 && b.ShardLen(si) > 0 {
 			out.Serving = false
 			out.PendingShards++
 		}
@@ -403,16 +377,6 @@ func New(b Backend, opts Options) *Server {
 		s.metrics = newServeMetrics(opts.Observer.Registry)
 	}
 	return s
-}
-
-// NewStore is New over a monolithic store.
-func NewStore(st *remstore.Store, opts Options) *Server {
-	return New(StoreBackend(st), opts)
-}
-
-// NewSharded is New over a sharded store.
-func NewSharded(ss *remshard.ShardedStore, opts Options) *Server {
-	return New(ShardedBackend(ss), opts)
 }
 
 // httpServer assembles the hardened net/http server Serve runs: the

@@ -117,7 +117,7 @@ func TestRule8OverTheWire(t *testing.T) {
 	for _, shards := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
 			ss, mono, keys := newServedShards(t, 9, shards)
-			srv := httptest.NewServer(NewSharded(ss, Options{}))
+			srv := httptest.NewServer(New(ShardedBackend(ss), Options{}))
 			defer srv.Close()
 
 			for _, key := range keys {
@@ -263,7 +263,7 @@ func TestMonolithicBackend(t *testing.T) {
 	if _, err := st.Publish(mono, len(keys)); err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewStore(st, Options{}))
+	srv := httptest.NewServer(New(StoreBackend(st), Options{}))
 	defer srv.Close()
 
 	p := geom.V(1.2, 0.7, 2.0)
@@ -311,7 +311,7 @@ func TestMonolithicBackend(t *testing.T) {
 // the tag and revalidation serves the new bytes.
 func TestETagTracksRebuilds(t *testing.T) {
 	ss, _, _ := newServedShards(t, 6, 2)
-	srv := httptest.NewServer(NewSharded(ss, Options{}))
+	srv := httptest.NewServer(New(ShardedBackend(ss), Options{}))
 	defer srv.Close()
 
 	_, hdr, first := get(t, srv.URL+"/snapshot")
@@ -378,7 +378,7 @@ func TestETagTracksRebuilds(t *testing.T) {
 func TestHammerUnderRebuilds(t *testing.T) {
 	const nKeys = 8
 	ss, mono, keys := newServedShards(t, nKeys, 4)
-	srv := httptest.NewServer(NewSharded(ss, Options{}))
+	srv := httptest.NewServer(New(ShardedBackend(ss), Options{}))
 	defer srv.Close()
 
 	stop := make(chan struct{})

@@ -50,7 +50,7 @@ func TestStrongestBatchRule8(t *testing.T) {
 	for _, shards := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
 			ss, mono, _ := newServedShards(t, 9, shards)
-			srv := httptest.NewServer(NewSharded(ss, Options{}))
+			srv := httptest.NewServer(New(ShardedBackend(ss), Options{}))
 			defer srv.Close()
 
 			pts := testPoints()
@@ -151,7 +151,7 @@ func TestStrongestBatchMonolithicVersion(t *testing.T) {
 	if _, err := st.Publish(m, len(keys)); err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewStore(st, Options{}))
+	srv := httptest.NewServer(New(StoreBackend(st), Options{}))
 	defer srv.Close()
 
 	status, _, body := postBody(t, srv.URL+"/strongest", "application/json", "", `{"points":[[1,1,1],[3,2,0.5]]}`)
@@ -205,7 +205,7 @@ func TestDeltaGzip(t *testing.T) {
 	if _, err := st.Publish(m2, 2); err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewStore(st, Options{}))
+	srv := httptest.NewServer(New(StoreBackend(st), Options{}))
 	defer srv.Close()
 
 	// Identity delta: the reference REMD bytes.

@@ -68,7 +68,7 @@ func TestWireRule8AcrossFormats(t *testing.T) {
 	for _, shards := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
 			ss, mono, keys := newServedShards(t, 9, shards)
-			srv := httptest.NewServer(NewSharded(ss, Options{}))
+			srv := httptest.NewServer(New(ShardedBackend(ss), Options{}))
 			defer srv.Close()
 
 			key := keys[2]
@@ -233,7 +233,7 @@ func TestWireNaNBitsSurvive(t *testing.T) {
 // reachable with small bodies.
 func TestWireMalformed(t *testing.T) {
 	ss, _, keys := newServedShards(t, 4, 2)
-	srv := httptest.NewServer(NewSharded(ss, Options{MaxBatchBytes: 256, MaxBatchPoints: 4}))
+	srv := httptest.NewServer(New(ShardedBackend(ss), Options{MaxBatchBytes: 256, MaxBatchPoints: 4}))
 	defer srv.Close()
 	key := keys[0]
 

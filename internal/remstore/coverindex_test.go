@@ -32,9 +32,9 @@ func gradPredict(gen int) rem.BatchPredictFunc {
 }
 
 // TestPublishBuildsCoverIndex: a published map carries a coverage index
-// (built at publish time before the snapshot becomes visible) unless
-// indexing is opted out, and either way the served answers match the
-// brute scan (rule 9 at the store layer).
+// (built at publish time before the snapshot becomes visible), and the
+// served answers match the brute scan with the index and without it
+// (rule 9 at the store layer).
 func TestPublishBuildsCoverIndex(t *testing.T) {
 	keys := []string{"a", "b", "c"}
 	st := New(2)
@@ -55,20 +55,13 @@ func TestPublishBuildsCoverIndex(t *testing.T) {
 		t.Fatalf("indexed store answer (%q, %v) != brute (%q, %v)", key, v, bk, bv)
 	}
 
-	opt := New(2)
-	opt.SetCoverIndexing(false)
-	if _, err := opt.Publish(gradMap(t, 1, keys), len(keys)); err != nil {
-		t.Fatal(err)
-	}
-	if opt.Current().Map().HasCoverIndex() {
-		t.Fatal("opted-out store built an index anyway")
-	}
-	ok, ov, _, err := opt.Strongest(p)
+	s.Map().DropCoverIndex()
+	ok, ov, _, err := st.Strongest(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ok != key || math.Float64bits(ov) != math.Float64bits(v) {
-		t.Fatalf("opt-out changed the answer: (%q, %v) != (%q, %v)", ok, ov, key, v)
+		t.Fatalf("dropping the index changed the answer: (%q, %v) != (%q, %v)", ok, ov, key, v)
 	}
 }
 

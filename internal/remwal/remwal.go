@@ -108,6 +108,15 @@ type Record struct {
 // ErrLogClosed is returned by Append and Sync after Close.
 var ErrLogClosed = errors.New("remwal: log closed")
 
+// segmentFile is the active segment as the append path uses it — an
+// *os.File in production, wrapped by tests to inject write and fsync
+// faults.
+type segmentFile interface {
+	Write(p []byte) (int, error)
+	Sync() error
+	Close() error
+}
+
 // segment is one on-disk file of the log.
 type segment struct {
 	path     string
@@ -122,12 +131,18 @@ type Log struct {
 	segBytes int64
 
 	mu      sync.Mutex
-	f       *os.File // active segment, open for append
-	size    int64    // bytes written to the active segment
+	f       segmentFile // active segment, open for append
+	size    int64       // bytes written to the active segment
 	nextSeq uint64
 	segs    []segment // in sequence order; last is active
 	scratch []byte    // frame assembly buffer, reused across appends
 	closed  bool
+	// err is the first write, fsync or rotate failure. It poisons the
+	// log: the file offset may sit past a torn frame and a failed fsync
+	// may have dropped dirty pages, so nothing appended after it could be
+	// trusted to replay. Only reopen + replay (which truncates a torn
+	// tail) recovers.
+	err error
 	// o is the attached instrument set (observe.go); nil means
 	// uninstrumented. Written under mu by SetObserver, read under mu on
 	// the append path.
@@ -354,12 +369,17 @@ func syncDir(dir string) error {
 // Append frames payload into the active segment (rotating first if it
 // is full) and returns the record's sequence number. With SyncAlways
 // the record is on disk when Append returns — the acknowledgement
-// contract POST /observe relies on.
+// contract POST /observe relies on. A failed write, fsync or rotation
+// poisons the log: that Append and every later Append and Sync return
+// the original error.
 func (l *Log) Append(payload []byte) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return 0, ErrLogClosed
+	}
+	if l.err != nil {
+		return 0, l.err
 	}
 	if len(payload) > maxRecordLen {
 		return 0, fmt.Errorf("remwal: record of %d bytes exceeds the %d-byte bound", len(payload), maxRecordLen)
@@ -367,7 +387,7 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 	rec := int64(recHeaderLen + len(payload))
 	if l.size > segHeaderLen && l.size+rec > l.segBytes {
 		if err := l.rotateLocked(); err != nil {
-			return 0, err
+			return 0, l.fail(err)
 		}
 	}
 	var start time.Time
@@ -379,7 +399,7 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 	l.scratch = rem.AppendU32(l.scratch, crc32.ChecksumIEEE(payload))
 	l.scratch = append(l.scratch, payload...)
 	if _, err := l.f.Write(l.scratch); err != nil {
-		return 0, err
+		return 0, l.fail(err)
 	}
 	l.size += rec
 	var fsyncD time.Duration
@@ -389,7 +409,7 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 			t0 = time.Now()
 		}
 		if err := l.f.Sync(); err != nil {
-			return 0, err
+			return 0, l.fail(err)
 		}
 		if l.o != nil {
 			fsyncD = time.Since(t0)
@@ -403,16 +423,24 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 	return seq, nil
 }
 
-// rotateLocked seals the active segment and starts the next one.
+// fail poisons the log with err (see Log.err) and returns it.
+func (l *Log) fail(err error) error {
+	l.err = err
+	return err
+}
+
+// rotateLocked seals the active segment and starts the next one. The
+// sealed file stays active until its successor exists, so a failed
+// rotation never leaves the log without a file.
 func (l *Log) rotateLocked() error {
-	if err := l.f.Sync(); err != nil {
+	sealed := l.f
+	if err := sealed.Sync(); err != nil {
 		return err
 	}
-	if err := l.f.Close(); err != nil {
+	if err := l.createSegment(); err != nil {
 		return err
 	}
-	l.f = nil
-	return l.createSegment()
+	return sealed.Close()
 }
 
 // Sync flushes the active segment to disk — the explicit flush point
@@ -423,12 +451,19 @@ func (l *Log) Sync() error {
 	if l.closed {
 		return ErrLogClosed
 	}
-	return l.f.Sync()
+	if l.err != nil {
+		return l.err
+	}
+	if err := l.f.Sync(); err != nil {
+		return l.fail(err)
+	}
+	return nil
 }
 
 // Close fsyncs and closes the active segment; the tail record is
 // intact on the next Open regardless of the sync policy. Further
-// appends fail with ErrLogClosed.
+// appends fail with ErrLogClosed. Closing a poisoned log skips the
+// fsync and returns the poisoning error.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -436,6 +471,10 @@ func (l *Log) Close() error {
 		return nil
 	}
 	l.closed = true
+	if l.err != nil {
+		l.f.Close()
+		return l.err
+	}
 	if err := l.f.Sync(); err != nil {
 		l.f.Close()
 		return err
