@@ -11,6 +11,7 @@ package repro
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -1529,6 +1530,47 @@ func BenchmarkWALReplay(b *testing.B) {
 		}
 		if err := l.Close(); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// ---------------------------------------------------------------------------
+// Boot benchmarks: what a fresh deployment pays before it answers — fly
+// the 72-waypoint mission, fit the ML stage, rasterise and publish. Both
+// report allocations; CI guards BenchmarkStreamBoot's B/op and allocs/op,
+// which do not depend on runner speed.
+
+// BenchmarkStreamBoot is the point-reads deployment: core.RunStream with
+// seed 1 on 2 shards and 2 workers (one op = mission + four windows).
+func BenchmarkStreamBoot(b *testing.B) {
+	cfg := core.DefaultStreamConfig(1)
+	cfg.Shards = 2
+	cfg.Workers = 2
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.RunStream(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkIngestBoot is the ingest deployment's boot: the mission, the
+// bootstrap fit and the first publish (version 1). The context is
+// cancelled upfront, so the loop stops at its first pop.
+func BenchmarkIngestBoot(b *testing.B) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	cfg := core.IngestConfig{Config: core.DefaultConfig(1), Context: ctx}
+	cfg.Workers = 2
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		cfg.Queue = remwal.NewQueue(remwal.QueueConfig{})
+		res, err := core.RunIngest(cfg)
+		if !errors.Is(err, context.Canceled) {
+			b.Fatalf("ingest boot ended with %v, want a cancelled stop", err)
+		}
+		if res.Store.Current() == nil {
+			b.Fatal("no bootstrap publish")
 		}
 	}
 }

@@ -290,10 +290,28 @@ func buildREM(cfg Config, pre *dataset.Preprocessed, spec EstimatorSpec) (*rem.M
 // rasterisation callers (the pipeline, the streaming loop, examples,
 // benchmarks) share it rather than re-encoding by hand. Estimators with
 // a batch path (kNN, NN) answer the whole run in one PredictBatch call.
+// A keyed estimator (knn.PerKey) whose one-hot block sits where this
+// layout puts it answers the run's bare xyz positions instead, so no
+// one-hot rows are built; every other estimator or encoding takes the
+// row path.
 func BatchPredictorFor(est ml.Estimator, dim int, scale float64) rem.BatchPredictFunc {
+	if pk, ok := keyedPath(est, scale); ok {
+		return func(centers []geom.Vec3, keyIdx int) ([]float64, error) {
+			return pk.PredictKeyed(designRows(centers, keyIdx, 3, 0), keyIdx)
+		}
+	}
 	return func(centers []geom.Vec3, keyIdx int) ([]float64, error) {
 		return ml.PredictAll(est, designRows(centers, keyIdx, dim, scale))
 	}
+}
+
+// keyedPath reports whether est can skip the one-hot rows: it must be
+// the per-MAC kNN (the one estimator with a keyed batch path), and the
+// encoding must carry the one-hot block (scale != 0) at the column the
+// estimator routes by — designRows puts it at 3.
+func keyedPath(est ml.Estimator, scale float64) (*knn.PerKey, bool) {
+	pk, ok := est.(*knn.PerKey)
+	return pk, ok && scale != 0 && pk.KeyOffset == 3
 }
 
 // designRows encodes positions of key keyIdx as this pipeline's feature

@@ -36,11 +36,17 @@ func DefaultConfig() Config {
 	}
 }
 
-// Filter is the EKF instance.
+// Filter is the EKF instance. The covariance and the propagation
+// scratch are fixed arrays in the filter itself, so Predict and the
+// updates allocate nothing.
 type Filter struct {
 	cfg Config
 	x   [stateDim]float64 // px py pz vx vy vz
-	p   *mat.Matrix
+	// p is the covariance, flat row-major.
+	p [stateDim * stateDim]float64
+	// f and ft hold the Jacobian F and Fᵀ (identity outside the dt
+	// block), fp the product F·P.
+	f, ft, fp [stateDim * stateDim]float64
 }
 
 // New creates a filter initialised at the given position with zero velocity.
@@ -51,11 +57,14 @@ func New(initPos geom.Vec3, cfg Config) (*Filter, error) {
 	if cfg.InitPosSigmaM <= 0 || cfg.InitVelSigma <= 0 {
 		return nil, fmt.Errorf("ekf: initial sigmas must be positive")
 	}
-	f := &Filter{cfg: cfg, p: mat.New(stateDim, stateDim)}
+	f := &Filter{cfg: cfg}
 	f.x[0], f.x[1], f.x[2] = initPos.X, initPos.Y, initPos.Z
 	for i := 0; i < 3; i++ {
-		f.p.Set(i, i, cfg.InitPosSigmaM*cfg.InitPosSigmaM)
-		f.p.Set(i+3, i+3, cfg.InitVelSigma*cfg.InitVelSigma)
+		f.p[i*stateDim+i] = cfg.InitPosSigmaM * cfg.InitPosSigmaM
+		f.p[(i+3)*stateDim+i+3] = cfg.InitVelSigma * cfg.InitVelSigma
+	}
+	for i := 0; i < stateDim; i++ {
+		f.f[i*stateDim+i], f.ft[i*stateDim+i] = 1, 1
 	}
 	return f, nil
 }
@@ -70,9 +79,9 @@ func (f *Filter) Velocity() geom.Vec3 { return geom.V(f.x[3], f.x[4], f.x[5]) }
 // component, a convenient confidence readout.
 func (f *Filter) PositionStdDev() geom.Vec3 {
 	return geom.V(
-		math.Sqrt(math.Max(f.p.At(0, 0), 0)),
-		math.Sqrt(math.Max(f.p.At(1, 1), 0)),
-		math.Sqrt(math.Max(f.p.At(2, 2), 0)),
+		math.Sqrt(math.Max(f.p[0*stateDim+0], 0)),
+		math.Sqrt(math.Max(f.p[1*stateDim+1], 0)),
+		math.Sqrt(math.Max(f.p[2*stateDim+2], 0)),
 	)
 }
 
@@ -88,25 +97,30 @@ func (f *Filter) Predict(accel geom.Vec3, dt float64) error {
 		f.x[i] += f.x[i+3]*dt + 0.5*ax[i]*dt*dt
 		f.x[i+3] += ax[i] * dt
 	}
-	// Jacobian F = [I, dt·I; 0, I].
-	fm := mat.Identity(stateDim)
+	// Jacobian F = [I, dt·I; 0, I] and its transpose; New set the
+	// identity, only the dt block moves.
 	for i := 0; i < 3; i++ {
-		fm.Set(i, i+3, dt)
+		f.f[i*stateDim+i+3], f.ft[(i+3)*stateDim+i] = dt, dt
 	}
-	// Process noise from white acceleration: discrete Wiener-acceleration Q.
+	// P ← F·P·Fᵀ + Q, the two products on the shared MatMul kernel.
+	mat.MatMul(f.fp[:], f.f[:], f.p[:], stateDim, stateDim, stateDim)
+	mat.MatMul(f.p[:], f.fp[:], f.ft[:], stateDim, stateDim, stateDim)
+	// Process noise from white acceleration: discrete Wiener-acceleration
+	// Q, added over every entry (its zeros included, so a −0 in F·P·Fᵀ
+	// comes out +0 as in a full matrix sum).
 	q := f.cfg.AccelNoise * f.cfg.AccelNoise
-	qm := mat.New(stateDim, stateDim)
+	var qm [stateDim * stateDim]float64
 	q11 := q * dt * dt * dt / 3
 	q12 := q * dt * dt / 2
 	q22 := q * dt
 	for i := 0; i < 3; i++ {
-		qm.Set(i, i, q11)
-		qm.Set(i, i+3, q12)
-		qm.Set(i+3, i, q12)
-		qm.Set(i+3, i+3, q22)
+		qm[i*stateDim+i] = q11
+		qm[i*stateDim+i+3] = q12
+		qm[(i+3)*stateDim+i] = q12
+		qm[(i+3)*stateDim+i+3] = q22
 	}
-	f.p = fm.Mul(f.p).Mul(fm.T()).Plus(qm)
-	f.p.Symmetrize()
+	mat.VecAdd(f.p[:], qm[:])
+	mat.Symmetrize(f.p[:], stateDim)
 	return nil
 }
 
@@ -118,7 +132,7 @@ func (f *Filter) scalarUpdate(innovation float64, hj [stateDim]float64, r float6
 	for i := 0; i < stateDim; i++ {
 		s := 0.0
 		for j := 0; j < stateDim; j++ {
-			s += f.p.At(i, j) * hj[j]
+			s += f.p[i*stateDim+j] * hj[j]
 		}
 		ph[i] = s
 	}
@@ -140,10 +154,10 @@ func (f *Filter) scalarUpdate(innovation float64, hj [stateDim]float64, r float6
 	// P ← (I − K H) P, Joseph-free but symmetrised.
 	for i := 0; i < stateDim; i++ {
 		for j := 0; j < stateDim; j++ {
-			f.p.Add(i, j, -k[i]*ph[j])
+			f.p[i*stateDim+j] += -k[i] * ph[j]
 		}
 	}
-	f.p.Symmetrize()
+	mat.Symmetrize(f.p[:], stateDim)
 }
 
 // UpdateRange fuses one TWR range to an anchor. sigma is the measurement

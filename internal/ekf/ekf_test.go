@@ -1,9 +1,11 @@
 package ekf
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/mat"
 	"repro/internal/simrand"
 	"repro/internal/uwb"
 )
@@ -45,9 +47,7 @@ func TestPredictKinematics(t *testing.T) {
 	f, _ := New(geom.V(0, 0, 0), DefaultConfig())
 	// Constant 1 m/s² along x for 2 s ⇒ p = 2 m, v = 2 m/s.
 	for i := 0; i < 20; i++ {
-		if err := f.Predict(geom.V(1, 0, 0), 0.1); err != nil {
-			t.Fatal(err)
-		}
+		checkedPredict(t, f, geom.V(1, 0, 0), 0.1)
 	}
 	p, v := f.Position(), f.Velocity()
 	if diff := p.Dist(geom.V(2, 0, 0)); diff > 1e-9 {
@@ -72,11 +72,61 @@ func TestPredictGrowsUncertainty(t *testing.T) {
 	f, _ := New(geom.V(0, 0, 0), DefaultConfig())
 	before := f.PositionStdDev().X
 	for i := 0; i < 10; i++ {
-		_ = f.Predict(geom.V(0, 0, 0), 0.1)
+		checkedPredict(t, f, geom.V(0, 0, 0), 0.1)
+	}
+	// A range update couples the axes; the propagation must still match
+	// the reference on the now dense covariance.
+	if err := f.UpdateRange(geom.V(3, 2, 2), 2.5, 0.1); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		checkedPredict(t, f, geom.V(0.3, -0.2, 0.1), 0.05)
 	}
 	after := f.PositionStdDev().X
 	if after <= before {
 		t.Errorf("prediction should grow covariance: %v → %v", before, after)
+	}
+}
+
+// checkedPredict runs f.Predict and checks the new covariance, bit for
+// bit, against the reference F·P·Fᵀ + Q built from mat.Matrix products
+// and symmetrised.
+func checkedPredict(t *testing.T, f *Filter, accel geom.Vec3, dt float64) {
+	t.Helper()
+	p := mat.New(stateDim, stateDim)
+	for i := 0; i < stateDim; i++ {
+		for j := 0; j < stateDim; j++ {
+			p.Set(i, j, f.p[i*stateDim+j])
+		}
+	}
+	fm := mat.Identity(stateDim)
+	qm := mat.New(stateDim, stateDim)
+	q := f.cfg.AccelNoise * f.cfg.AccelNoise
+	for i := 0; i < 3; i++ {
+		fm.Set(i, i+3, dt)
+		qm.Set(i, i, q*dt*dt*dt/3)
+		qm.Set(i, i+3, q*dt*dt/2)
+		qm.Set(i+3, i, q*dt*dt/2)
+		qm.Set(i+3, i+3, q*dt)
+	}
+	want := fm.Mul(p).Mul(fm.T()).Plus(qm)
+	want.Symmetrize()
+	if err := f.Predict(accel, dt); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < stateDim; i++ {
+		for j := 0; j < stateDim; j++ {
+			if got := f.p[i*stateDim+j]; math.Float64bits(got) != math.Float64bits(want.At(i, j)) {
+				t.Fatalf("P[%d][%d] = %v, reference F·P·Fᵀ+Q has %v", i, j, got, want.At(i, j))
+			}
+		}
+	}
+}
+
+func TestPredictAllocationFree(t *testing.T) {
+	f, _ := New(geom.V(1, 1, 1), DefaultConfig())
+	if n := testing.AllocsPerRun(100, func() { _ = f.Predict(geom.V(0.1, 0, -0.1), 0.01) }); n != 0 {
+		t.Errorf("Predict allocates %v times per tick, want 0", n)
 	}
 }
 

@@ -254,6 +254,20 @@ func VecMul(dst, x []float64) {
 	}
 }
 
+// Symmetrize overwrites the n×n flat row-major a with (a + aᵀ)/2, the
+// in-place form of Matrix.Symmetrize.
+func Symmetrize(a []float64, n int) {
+	if len(a) < n*n {
+		panic(fmt.Sprintf("mat: Symmetrize has %d elements, need %d", len(a), n*n))
+	}
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			avg := (a[i*n+j] + a[j*n+i]) / 2
+			a[i*n+j], a[j*n+i] = avg, avg
+		}
+	}
+}
+
 // VecScale multiplies every element of dst by s in place.
 func VecScale(s float64, dst []float64) {
 	for i := range dst {

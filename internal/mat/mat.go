@@ -180,13 +180,7 @@ func (m *Matrix) Symmetrize() {
 	if m.rows != m.cols {
 		panic("mat: Symmetrize requires a square matrix")
 	}
-	for i := 0; i < m.rows; i++ {
-		for j := i + 1; j < m.cols; j++ {
-			avg := (m.At(i, j) + m.At(j, i)) / 2
-			m.Set(i, j, avg)
-			m.Set(j, i, avg)
-		}
-	}
+	Symmetrize(m.data, m.rows)
 }
 
 // ErrSingular is returned when a solve or inverse encounters a singular (or

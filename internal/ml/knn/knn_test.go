@@ -260,3 +260,10 @@ func TestNames(t *testing.T) {
 		t.Error("empty per-key name")
 	}
 }
+
+func TestPerKeyPredictKeyedNotFitted(t *testing.T) {
+	p := &PerKey{Sub: PaperPlainConfig(), KeyOffset: 3}
+	if _, err := p.PredictKeyed([][]float64{{1, 1, 1}}, 0); !errors.Is(err, ml.ErrNotFitted) {
+		t.Errorf("unfitted PredictKeyed: %v, want ErrNotFitted", err)
+	}
+}

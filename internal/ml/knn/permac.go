@@ -167,6 +167,23 @@ func (p *PerKey) Predict(q []float64) (float64, error) {
 	return p.global.Predict(xyz)
 }
 
+// PredictKeyed is the keyed batch path: it answers xyz positions of one
+// key through that key's sub-regressor, or through the global fallback
+// when the key has none — bit for bit what Predict returns on the rows
+// carrying those positions and key's one-hot at KeyOffset, without
+// building them. One candidate buffer serves the whole batch
+// (Regressor.PredictBatch). Safe for concurrent use, like Predict.
+func (p *PerKey) PredictKeyed(xyz [][]float64, key int) ([]float64, error) {
+	if !p.fitted {
+		return nil, ml.ErrNotFitted
+	}
+	r := p.global
+	if sub, ok := p.subs[key]; ok {
+		r = sub
+	}
+	return r.PredictBatch(xyz)
+}
+
 // groupByKey routes rows into per-key xyz groups (the one-hot block used
 // solely for routing) plus the flat xyz list the global fallback trains
 // on. Both Fit and Observe group through it, so the layout contract has

@@ -32,7 +32,8 @@ import (
 // the vocabulary (or when ingest is not configured at all), 413 over
 // the shared body/point caps, 429 + Retry-After when the queue is full
 // (load-shedding — the drain-rate estimate, never a blocked read),
-// 503 once the stream loop is down, 500 only for a WAL I/O fault.
+// 503 once the stream loop is down or the WAL has failed (a failed log
+// refuses every append until it is reopened).
 
 // IngestOptions wires the write path into a Server.
 type IngestOptions struct {
@@ -100,8 +101,9 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 }
 
 // observeError maps a queue rejection to its status: 404 outside the
-// vocabulary, 429 + Retry-After at capacity, 503 once the loop is
-// down, 500 for a WAL fault, 400 for any other validation failure.
+// vocabulary, 429 + Retry-After at capacity, 503 once the loop is down
+// or the WAL has failed (a failed log stays failed until reopened), 400
+// for any other validation failure.
 func observeError(w http.ResponseWriter, err error) {
 	var full *remwal.FullError
 	switch {
@@ -110,10 +112,10 @@ func observeError(w http.ResponseWriter, err error) {
 		http.Error(w, err.Error(), http.StatusTooManyRequests)
 	case errors.Is(err, remwal.ErrClosed):
 		http.Error(w, "remserve: ingest pipeline is down", http.StatusServiceUnavailable)
+	case errors.Is(err, remwal.ErrAppend):
+		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 	case errors.Is(err, rem.ErrUnknownKey):
 		http.Error(w, err.Error(), http.StatusNotFound)
-	case errors.Is(err, remwal.ErrAppend):
-		http.Error(w, err.Error(), http.StatusInternalServerError)
 	default:
 		http.Error(w, err.Error(), http.StatusBadRequest)
 	}

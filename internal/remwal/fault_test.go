@@ -45,6 +45,11 @@ func injectFault(l *Log, ff *faultyFile) {
 	l.mu.Unlock()
 }
 
+// TearNextWrite makes the next write to l's active segment land half a
+// frame and fail. It is the seam exported to this directory's external
+// tests, which drive the fault through the serving edge.
+func TearNextWrite(l *Log) { injectFault(l, &faultyFile{tearWrite: true}) }
+
 // appendAcked appends payload and records it when the log acknowledges
 // it; it returns the Append error.
 func appendAcked(l *Log, acked *[][]byte, payload []byte) error {

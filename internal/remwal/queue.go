@@ -26,7 +26,7 @@ const DefaultQueueCapacity = 64
 var ErrClosed = errors.New("remwal: ingest queue closed")
 
 // ErrAppend wraps a WAL write failure inside Submit, so the serving
-// layer can tell an I/O fault (500) from a validation fault (4xx).
+// layer can tell an I/O fault (503) from a validation fault (4xx).
 var ErrAppend = errors.New("remwal: wal append failed")
 
 // FullError is returned by Submit when the queue is at capacity.
