@@ -705,9 +705,9 @@ func benchAllKeys(n int) []int {
 
 // ---------------------------------------------------------------------------
 // Sharded-rebuild scaling (BENCH_rem.json): a fixed budget of 8
-// localized update rounds — 2 dirty keys each, confined to one shard by
-// a range partitioner — processed as independent per-shard chains. With
-// S shards the chains run concurrently (each rebuild single-threaded, so
+// localized update rounds — 2 dirty keys each, confined to one shard
+// (its first two keys) — processed as independent per-shard chains.
+// With S shards the chains run concurrently (each rebuild single-threaded, so
 // the measured scaling is purely the shard-parallel dimension); with 1
 // shard every round serialises on the single snapshot chain, which is
 // exactly the monolithic store's constraint. Total rasterisation work is
@@ -715,17 +715,9 @@ func benchAllKeys(n int) []int {
 
 func benchmarkShardedRebuild(b *testing.B, shards int) {
 	predict, keys := benchREMSetup(b)
-	part := remshard.PartitionFunc(func(key string, n int) int {
-		var i int
-		if _, err := fmt.Sscanf(key, "key%02d", &i); err != nil {
-			return -1
-		}
-		return i * n / len(keys)
-	})
 	const totalRounds = 8
 	cfg := remshard.Config{
-		Shards: shards, Partitioner: part,
-		Volume: geom.PaperScanVolume(), Resolution: [3]int{12, 10, 6},
+		Shards: shards, Volume: geom.PaperScanVolume(), Resolution: [3]int{12, 10, 6},
 	}
 	b.ResetTimer()
 	for it := 0; it < b.N; it++ {
@@ -743,7 +735,7 @@ func benchmarkShardedRebuild(b *testing.B, shards int) {
 		for s := range dirty {
 			sk := st.ShardKeys(s)
 			if len(sk) < 2 {
-				b.Fatalf("shard %d owns %d keys; the range partitioner should give it ≥2", s, len(sk))
+				b.Fatalf("shard %d owns %d keys; every shard needs ≥2", s, len(sk))
 			}
 			for _, k := range sk[:2] {
 				var gi int
@@ -777,15 +769,14 @@ func BenchmarkShardedRebuild4(b *testing.B) { benchmarkShardedRebuild(b, 4) }
 func BenchmarkShardedRebuild8(b *testing.B) { benchmarkShardedRebuild(b, 8) }
 
 // ---------------------------------------------------------------------------
-// Insert-log merge-threshold frontier (ROADMAP "insert-log tuning"): an
-// interleaved observe/query stream against the shared-feature-space kNN,
-// swept across thresholds. Small thresholds keep the per-query linear
-// log scan short but rebuild subtrees often; large ones amortise
-// rebuilds but tax every query. t=0 is the derived ≈√n default.
+// Insert-log merge cost: an interleaved observe/query stream against
+// the shared-feature-space kNN at its derived ≈√n merge threshold. A
+// smaller threshold would keep the per-query linear log scan short but
+// rebuild subtrees often; a larger one would amortise rebuilds but tax
+// every query.
 
-func benchmarkKNNMergeFrontier(b *testing.B, threshold int) {
+func BenchmarkKNNMergeFrontierAuto(b *testing.B) {
 	cfg := knn.PaperScaledConfig()
-	cfg.MergeThreshold = threshold
 	// 2500 synthetic rows: the first 2000 are the initial fit, the rest
 	// stream in 8-row batches.
 	x, y := benchTrainingSet(40)
@@ -820,13 +811,6 @@ func benchmarkKNNMergeFrontier(b *testing.B, threshold int) {
 		}
 	}
 }
-
-// BenchmarkKNNMergeFrontierAuto is the derived ≈√n threshold (the new
-// default when Config.MergeThreshold is unset).
-func BenchmarkKNNMergeFrontierAuto(b *testing.B) { benchmarkKNNMergeFrontier(b, 0) }
-func BenchmarkKNNMergeFrontier16(b *testing.B)   { benchmarkKNNMergeFrontier(b, 16) }
-func BenchmarkKNNMergeFrontier128(b *testing.B)  { benchmarkKNNMergeFrontier(b, 128) }
-func BenchmarkKNNMergeFrontier512(b *testing.B)  { benchmarkKNNMergeFrontier(b, 512) }
 
 // benchmarkGridSearch evaluates the §III-B kNN hyper-parameter grid on a
 // synthetic training set with the given worker count.

@@ -272,6 +272,14 @@ func parseArgs(args []string) (*options, string, error) {
 			err = fmt.Errorf("-%s has no effect with %s (it is read with %s)", f.Name, modeName(mode.name), readers(f.Name))
 		}
 	})
+	// Two flags a mode reads only in combination with another.
+	switch {
+	case err != nil:
+	case mode.name == "stream" && set["rate"] && o.serve == "":
+		err = errors.New("-rate has no effect with -stream unless -serve is set")
+	case mode.name == "query" && set["key"] && o.queryMode == "strongest":
+		err = errors.New("-key has no effect with -query -mode strongest")
+	}
 	return o, mode.name, err
 }
 

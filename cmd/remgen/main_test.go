@@ -32,6 +32,7 @@ func TestModeFlags(t *testing.T) {
 		{"-stream -shards 2 -window 400 -history 3 -serve :0 -rate 50 -metrics -events 8 -pprof :0", "stream", ""},
 		{"-stream -wal dir", "stream", "-wal has no effect with -stream"},
 		{"-stream -extended", "stream", "-extended has no effect with -stream"},
+		{"-stream -rate 50", "stream", "-rate has no effect with -stream unless -serve is set"},
 		{"-ingest -serve :0 -wal dir -ingest-token t -ingest-queue 4 -rate 5 -history 3 -metrics", "ingest", ""},
 		{"-ingest -stream -serve :0", "ingest", "-ingest and -stream are exclusive modes"},
 		{"-ingest -shards 2 -serve :0", "ingest", "-shards has no effect with -ingest (it is read with -stream)"},
@@ -43,6 +44,7 @@ func TestModeFlags(t *testing.T) {
 		{"-query http://l -key k -points 1,2 -wire binary -mode at", "query", ""},
 		{"-query http://l -points 1,2 -metrics", "query", "-metrics has no effect with -query"},
 		{"-query http://l -points 1,2 -serve :0", "query", "-serve has no effect with -query"},
+		{"-query http://l -key k -points 1,2 -mode strongest", "query", "-key has no effect with -query -mode strongest"},
 	} {
 		t.Run(tc.args, func(t *testing.T) {
 			_, mode, err := parseArgs(strings.Fields(tc.args))

@@ -44,7 +44,7 @@ func run() error {
 	// stream the rule 8 check compares against.
 	cfg := core.DefaultStreamConfig(1)
 	cfg.WindowRows = 520
-	cfg.Shards = shards // Partitioner nil → hash-by-MAC
+	cfg.Shards = shards // keys route by an FNV hash of the MAC
 	ctrl, err := mission.NewPaperController(cfg.Mission)
 	if err != nil {
 		return err

@@ -69,7 +69,7 @@ func newGenerator(cfg Config, spec *EstimatorSpec, data *dataset.Dataset, sc rem
 	g := &generator{
 		spec: DefaultStreamSpec(),
 		opts: rem.BuildOptions{Workers: cfg.Workers},
-		mono: sc.Shards <= 0 && sc.Partitioner == nil,
+		mono: sc.Shards <= 0,
 		o:    newGenObs(obs),
 	}
 	if spec != nil {

@@ -22,12 +22,12 @@ import (
 // previous snapshot. Queries against the store never block on a
 // rebuild.
 //
-// With StreamConfig.Shards (or a Partitioner) the caller sees the
-// sharded store: each window's dirty-key set is grouped by shard and
-// only the affected shards rebuild and publish, concurrently — an
-// update to one AP never touches the serving snapshots of the rest, and
-// every query still answers byte-identically to the 1-shard stream
-// (determinism contract rule 8). The estimator's Observe/Refit remain
+// With StreamConfig.Shards the caller sees the sharded store: each
+// window's dirty-key set is grouped by shard and only the affected
+// shards rebuild and publish, concurrently — an update to one AP never
+// touches the serving snapshots of the rest, and every query still
+// answers byte-identically to the 1-shard stream (determinism contract
+// rule 8). The estimator's Observe/Refit remain
 // single estimator-level calls either way; it is the
 // rasterise-and-publish half that fans out.
 
@@ -65,8 +65,8 @@ type StreamConfig struct {
 	// exists and before the first window publishes — the
 	// serve-while-streaming hook: an HTTP front (remserve) started here
 	// serves every generation from the very first publish. Exactly one
-	// of the two arguments is non-nil: the sharded store when Shards or
-	// Partitioner is set, the lone shard's plain store otherwise.
+	// of the two arguments is non-nil: the sharded store when Shards is
+	// set, the lone shard's plain store otherwise.
 	OnStore func(*remstore.Store, *remshard.ShardedStore)
 
 	// Shards > 0 streams into a sharded store instead of a single
@@ -77,9 +77,6 @@ type StreamConfig struct {
 	// byte-identically to the 1-shard stream (determinism contract
 	// rule 8), so sharding is purely an availability/parallelism choice.
 	Shards int
-	// Partitioner routes keys to shards; nil means remshard.HashByKey.
-	// Setting it implies sharded mode even when Shards is 0.
-	Partitioner remshard.Partitioner
 
 	// Observer, when set, instruments the stream: per-window stage
 	// latencies (Observe/Refit/rebuild), generation events with
@@ -181,7 +178,7 @@ func RunStream(cfg StreamConfig) (*StreamResult, error) {
 // numerics for the NN), for any worker count and any shard count.
 func RunStreamWithDataset(cfg StreamConfig, data *dataset.Dataset, report *mission.Report) (*StreamResult, error) {
 	g, err := newGenerator(cfg.Config, cfg.Spec, data, remshard.Config{
-		Shards: cfg.Shards, Partitioner: cfg.Partitioner, MaxHistory: cfg.MaxHistory,
+		Shards: cfg.Shards, MaxHistory: cfg.MaxHistory,
 	}, cfg.Observer)
 	if err != nil {
 		return nil, err

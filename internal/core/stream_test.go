@@ -215,9 +215,10 @@ func TestRunStreamWorkerInvariance(t *testing.T) {
 
 // TestRunStreamShardedEquivalence is determinism contract rule 8 at the
 // pipeline layer: the same dataset streamed into a sharded store — for
-// two partitioner families and shard counts 1, 2 and 4 — serves every
-// query byte-identically to the monolithic stream, window for window,
-// and the merged sharded view is Map.Equal to the monolithic snapshot.
+// shard counts 1, 2, 4 and one past the vocabulary (so at least one
+// shard stays empty) — serves every query byte-identically to the
+// monolithic stream, window for window, and the merged sharded view is
+// Map.Equal to the monolithic snapshot.
 func TestRunStreamShardedEquivalence(t *testing.T) {
 	data := streamDataset()
 	mono, err := RunStreamWithDataset(streamCfg(nil, 2), data, nil)
@@ -225,92 +226,79 @@ func TestRunStreamShardedEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	macs := mono.Pre.MACs
-	partitioners := func(shards int) map[string]remshard.Partitioner {
-		assign := make(map[string]int, len(macs))
-		for i, m := range macs {
-			assign[m] = i % shards
-		}
-		return map[string]remshard.Partitioner{
-			"hash":     remshard.HashByKey{},
-			"explicit": remshard.Explicit{Assign: assign, Fallback: remshard.HashByKey{}},
-		}
-	}
 	rng := simrand.New(8)
 	probes := make([]geom.Vec3, 16)
 	for i := range probes {
 		probes[i] = geom.V(rng.Range(0, 4), rng.Range(0, 3), rng.Range(0, 2.6))
 	}
-	for _, shards := range []int{1, 2, 4} {
-		for name, p := range partitioners(shards) {
-			t.Run(fmt.Sprintf("%s/shards=%d", name, shards), func(t *testing.T) {
-				cfg := streamCfg(nil, 4)
-				cfg.Shards = shards
-				cfg.Partitioner = p
-				var sink *remshard.ShardedStore
-				var rounds []uint64
-				cfg.OnStore = func(_ *remstore.Store, ss *remshard.ShardedStore) { sink = ss }
-				cfg.OnWindow = func(WindowReport) { rounds = append(rounds, sink.Rounds()) }
-				sh, err := RunStreamWithDataset(cfg, data, nil)
-				if err != nil {
-					t.Fatal(err)
+	for _, shards := range []int{1, 2, 4, len(macs) + 1} {
+		t.Run(fmt.Sprintf("hash/shards=%d", shards), func(t *testing.T) {
+			cfg := streamCfg(nil, 4)
+			cfg.Shards = shards
+			var sink *remshard.ShardedStore
+			var rounds []uint64
+			cfg.OnStore = func(_ *remstore.Store, ss *remshard.ShardedStore) { sink = ss }
+			cfg.OnWindow = func(WindowReport) { rounds = append(rounds, sink.Rounds()) }
+			sh, err := RunStreamWithDataset(cfg, data, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sh.Store != nil || sh.Sharded == nil {
+				t.Fatal("sharded stream did not publish into a sharded store")
+			}
+			if len(sh.Windows) != len(mono.Windows) {
+				t.Fatalf("windows = %d, want %d", len(sh.Windows), len(mono.Windows))
+			}
+			for i, w := range sh.Windows {
+				mw := mono.Windows[i]
+				if w.DirtyKeys != mw.DirtyKeys || w.Version != mw.Version || w.NewRows != mw.NewRows {
+					t.Fatalf("window %d: sharded %+v, monolithic %+v", i, w, mw)
 				}
-				if sh.Store != nil || sh.Sharded == nil {
-					t.Fatal("sharded stream did not publish into a sharded store")
+				if w.Shards < 1 || rounds[i] != w.Version {
+					t.Fatalf("window %d: round %d for report %+v", i, rounds[i], w)
 				}
-				if len(sh.Windows) != len(mono.Windows) {
-					t.Fatalf("windows = %d, want %d", len(sh.Windows), len(mono.Windows))
-				}
-				for i, w := range sh.Windows {
-					mw := mono.Windows[i]
-					if w.DirtyKeys != mw.DirtyKeys || w.Version != mw.Version || w.NewRows != mw.NewRows {
-						t.Fatalf("window %d: sharded %+v, monolithic %+v", i, w, mw)
-					}
-					if w.Shards < 1 || rounds[i] != w.Version {
-						t.Fatalf("window %d: round %d for report %+v", i, rounds[i], w)
-					}
-				}
-				merged, err := sh.Sharded.MergedSnapshot()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !merged.Equal(mono.Store.Current().Map()) {
-					t.Fatal("merged sharded view differs from the monolithic snapshot")
-				}
-				monoQ0 := mono.Store.Stats().Queries
-				for _, pb := range probes {
-					for _, mac := range macs {
-						wv, _, err := mono.Store.At(mac, pb)
-						if err != nil {
-							t.Fatal(err)
-						}
-						gv, _, err := sh.Sharded.At(mac, pb)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if math.Float64bits(gv) != math.Float64bits(wv) {
-							t.Fatalf("At(%s, %v): sharded %v, monolithic %v", mac, pb, gv, wv)
-						}
-					}
-					wk, wv, _, err := mono.Store.Strongest(pb)
+			}
+			merged, err := sh.Sharded.MergedSnapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !merged.Equal(mono.Store.Current().Map()) {
+				t.Fatal("merged sharded view differs from the monolithic snapshot")
+			}
+			monoQ0 := mono.Store.Stats().Queries
+			for _, pb := range probes {
+				for _, mac := range macs {
+					wv, _, err := mono.Store.At(mac, pb)
 					if err != nil {
 						t.Fatal(err)
 					}
-					gk, gv, _, err := sh.Sharded.Strongest(pb)
+					gv, _, err := sh.Sharded.At(mac, pb)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if gk != wk || math.Float64bits(gv) != math.Float64bits(wv) {
-						t.Fatalf("Strongest(%v): sharded (%s, %v), monolithic (%s, %v)", pb, gk, gv, wk, wv)
+					if math.Float64bits(gv) != math.Float64bits(wv) {
+						t.Fatalf("At(%s, %v): sharded %v, monolithic %v", mac, pb, gv, wv)
 					}
 				}
-				// The same query stream counts identically (rule 8 on
-				// Stats): compare the deltas this subtest produced.
-				wantQ := mono.Store.Stats().Queries - monoQ0
-				if got := sh.Sharded.Stats().Queries; got != wantQ {
-					t.Fatalf("sharded logical queries = %d, monolithic = %d", got, wantQ)
+				wk, wv, _, err := mono.Store.Strongest(pb)
+				if err != nil {
+					t.Fatal(err)
 				}
-			})
-		}
+				gk, gv, _, err := sh.Sharded.Strongest(pb)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if gk != wk || math.Float64bits(gv) != math.Float64bits(wv) {
+					t.Fatalf("Strongest(%v): sharded (%s, %v), monolithic (%s, %v)", pb, gk, gv, wk, wv)
+				}
+			}
+			// The same query stream counts identically (rule 8 on
+			// Stats): compare the deltas this subtest produced.
+			wantQ := mono.Store.Stats().Queries - monoQ0
+			if got := sh.Sharded.Stats().Queries; got != wantQ {
+				t.Fatalf("sharded logical queries = %d, monolithic = %d", got, wantQ)
+			}
+		})
 	}
 }
 

@@ -58,16 +58,16 @@ func TestRegressorIncrementalIdentity(t *testing.T) {
 			const nKeys = 5
 			x, y := knnStream(nKeys, 260, 3, rng)
 			queries, _ := knnStream(nKeys, 64, 3, rng)
-			cfg := tc.cfg
-			cfg.MergeThreshold = 40
-			inc, err := New(cfg)
+			inc, err := New(tc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if err := inc.Fit(x[:120], y[:120]); err != nil {
 				t.Fatal(err)
 			}
-			cuts := []int{120, 150, 210, 260} // 30 (logged), 60 (auto-merged), 50
+			// 15 rows stay logged (≤ the MinMergeThreshold floor), 50 and
+			// 75 auto-merge; Refit merges whatever is left after each.
+			cuts := []int{120, 135, 185, 260}
 			for c := 1; c < len(cuts); c++ {
 				dirty, err := inc.Observe(x[cuts[c-1]:cuts[c]], y[cuts[c-1]:cuts[c]])
 				if err != nil {
@@ -102,20 +102,18 @@ func TestRegressorIncrementalIdentity(t *testing.T) {
 func TestRegressorMergeThreshold(t *testing.T) {
 	rng := simrand.New(9)
 	x, y := knnStream(3, 90, 1, rng)
-	cfg := PaperPlainConfig()
-	cfg.MergeThreshold = 25
-	r, err := New(cfg)
+	r, err := New(PaperPlainConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := r.Fit(x[:50], y[:50]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Observe(x[50:70], y[50:70]); err != nil { // log = 20 ≤ 25
+	if _, err := r.Observe(x[50:66], y[50:66]); err != nil { // log = 16 ≤ 16
 		t.Fatal(err)
 	}
 	if r.indexed != 50 {
-		t.Fatalf("log of 20 merged early: indexed = %d", r.indexed)
+		t.Fatalf("log of 16 merged early: indexed = %d", r.indexed)
 	}
 	queries, _ := knnStream(3, 32, 1, rng)
 	batch, err := r.PredictBatch(queries)
@@ -131,7 +129,7 @@ func TestRegressorMergeThreshold(t *testing.T) {
 			t.Fatalf("query %d: batch %x ≠ per-sample %x with live insert log", i, batch[i], v)
 		}
 	}
-	if _, err := r.Observe(x[70:90], y[70:90]); err != nil { // log = 40 > 25
+	if _, err := r.Observe(x[66:90], y[66:90]); err != nil { // log = 40 > 16
 		t.Fatal(err)
 	}
 	if r.indexed != 90 {
@@ -139,8 +137,8 @@ func TestRegressorMergeThreshold(t *testing.T) {
 	}
 }
 
-// TestDerivedMergeThreshold: with MergeThreshold unset, the insert-log
-// bound derives from the training-set size (≈√n, floored at
+// TestDerivedMergeThreshold: the insert-log bound derives from the
+// training-set size (≈√n, floored at
 // MinMergeThreshold) and grows as the set does — and the derived bound
 // changes only when the log merges, never a prediction bit (pinned by
 // TestRegressorIncrementalIdentity, which sweeps merged and unmerged
@@ -148,7 +146,7 @@ func TestRegressorMergeThreshold(t *testing.T) {
 func TestDerivedMergeThreshold(t *testing.T) {
 	rng := simrand.New(31)
 	x, y := knnStream(3, 1000, 1, rng)
-	r, err := New(PaperPlainConfig()) // MergeThreshold unset
+	r, err := New(PaperPlainConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,19 +188,6 @@ func TestDerivedMergeThreshold(t *testing.T) {
 	if r.indexed != 932 {
 		t.Fatalf("log over √n did not merge: indexed = %d", r.indexed)
 	}
-	// An explicit configuration still pins the bound exactly.
-	cfg := PaperPlainConfig()
-	cfg.MergeThreshold = 500
-	pinned, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := pinned.Fit(x[:900], y[:900]); err != nil {
-		t.Fatal(err)
-	}
-	if got := pinned.mergeThreshold(); got != 500 {
-		t.Fatalf("explicit threshold resolved to %d", got)
-	}
 }
 
 // TestMergeRebuildsOnlyDirtySubtrees: an insert-log merge rebuilds the
@@ -226,7 +211,6 @@ func TestMergeRebuildsOnlyDirtySubtrees(t *testing.T) {
 		}
 	}
 	cfg := PaperPlainConfig()
-	cfg.MergeThreshold = 1
 	r, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -238,8 +222,11 @@ func TestMergeRebuildsOnlyDirtySubtrees(t *testing.T) {
 	for h, tr := range r.index.byKey {
 		before[h] = tr
 	}
-	// Two rows for key 2 exceed the threshold and force a merge.
+	// Two rows for key 2, merged by Refit.
 	if _, err := r.Observe([][]float64{mk(2, 9), mk(2, 10)}, []float64{-60, -61}); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Refit(); err != nil {
 		t.Fatal(err)
 	}
 	if r.indexed != len(r.x) {
@@ -263,6 +250,9 @@ func TestMergeRebuildsOnlyDirtySubtrees(t *testing.T) {
 	odd := mk(1, 3)
 	odd[3+1] = 2 // different scale
 	if _, err := r.Observe([][]float64{odd, mk(0, 4)}, []float64{-70, -55}); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Refit(); err != nil {
 		t.Fatal(err)
 	}
 	fresh, err := New(cfg)

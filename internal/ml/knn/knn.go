@@ -57,25 +57,11 @@ type Config struct {
 	// for p=2. Predictions are identical either way; the flag exists to
 	// benchmark the index against its baseline.
 	BruteForce bool
-	// MergeThreshold bounds the incremental insert log: once more than
-	// this many observed rows sit outside the KD-tree index, Observe
-	// merges them in, rebuilding only the per-MAC subtrees whose keys
-	// gained rows (rows that break the one-hot layout degrade to a full
-	// index rebuild). Queries are byte-identical before and after a
-	// merge — the log is scanned with the same canonical
-	// (distance, index) ordering the index uses — so the threshold
-	// trades only query cost against rebuild frequency. ≤ 0 derives the
-	// bound from the training-set size (≈√n, floored at
-	// MinMergeThreshold): every query scans the log linearly — O(t) for
-	// a log of t rows — while a subtree rebuild costs O(n log n)
-	// amortised over those t observations, and t ≈ √n balances the two
-	// as the set grows — a small survey merges eagerly, a large one
-	// lets the log amortise more.
-	MergeThreshold int
 }
 
-// MinMergeThreshold floors the derived ≈√n insert-log bound so tiny
-// training sets do not rebuild their index on nearly every observation.
+// MinMergeThreshold floors the ≈√n insert-log bound (see
+// Regressor.mergeThreshold) so tiny training sets do not rebuild their
+// index on nearly every observation.
 const MinMergeThreshold = 16
 
 // PaperPlainConfig is the paper's tuned plain kNN: k=3, distance weights,
@@ -110,7 +96,7 @@ func (c Config) Validate() error {
 // Regressor is incremental: Observe appends new samples to an insert log
 // that queries scan alongside the index (canonical neighbour ordering
 // makes the two paths merge byte-identically), and the log folds into the
-// KD-forest once it exceeds Config.MergeThreshold or Refit is called.
+// KD-forest once it exceeds mergeThreshold or Refit is called.
 // Observe and Refit must not run concurrently with queries.
 type Regressor struct {
 	cfg Config
@@ -186,14 +172,20 @@ func (r *Regressor) Observe(x [][]float64, y []float64) ([]int, error) {
 	return []int{ml.DirtyAll}, nil
 }
 
-// mergeThreshold resolves the insert-log bound: the configured value, or
-// ≈√n derived from the current training-set size when unset (floored at
-// MinMergeThreshold). Deriving from len(r.x) means the bound grows with
-// the set: merges stay rare relative to the observations they amortise.
+// mergeThreshold bounds the incremental insert log: once more than this
+// many observed rows sit outside the KD-tree index, Observe merges them
+// in, rebuilding only the per-MAC subtrees whose keys gained rows (rows
+// that break the one-hot layout degrade to a full index rebuild).
+// Queries are byte-identical before and after a merge — the log is
+// scanned with the same canonical (distance, index) ordering the index
+// uses — so the bound trades only query cost against rebuild frequency.
+// It is ≈√n of the current training-set size, floored at
+// MinMergeThreshold: every query scans the log linearly — O(t) for a
+// log of t rows — while a subtree rebuild costs O(n log n) amortised
+// over those t observations, and t ≈ √n balances the two as the set
+// grows — a small survey merges eagerly, a large one lets the log
+// amortise more.
 func (r *Regressor) mergeThreshold() int {
-	if r.cfg.MergeThreshold > 0 {
-		return r.cfg.MergeThreshold
-	}
 	if t := int(math.Sqrt(float64(len(r.x)))); t > MinMergeThreshold {
 		return t
 	}

@@ -65,7 +65,7 @@ func (f *Follower) initObserver(obs *remobs.Observer) {
 		stat(func(s SyncStats) uint64 { return s.Fulls }))
 	reg.CounterFunc("rem_follow_not_modified_total", "304 polls (already current)",
 		stat(func(s SyncStats) uint64 { return s.NotModified }))
-	reg.CounterFunc("rem_follow_resyncs_total", "full resyncs forced by corruption or MaxFailures",
+	reg.CounterFunc("rem_follow_resyncs_total", "full resyncs forced by corruption or repeated failures",
 		stat(func(s SyncStats) uint64 { return s.Resyncs }))
 	reg.CounterFunc("rem_follow_delta_bytes_total", "payload bytes applied over the delta path",
 		stat(func(s SyncStats) uint64 { return s.DeltaBytes }))

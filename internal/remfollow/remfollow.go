@@ -15,15 +15,15 @@
 // The failure posture is graceful degradation, never amplification:
 //
 //   - Transport failures (timeouts, connection resets, 5xx) back off
-//     exponentially with full jitter, capped at BackoffMax.
+//     exponentially with full jitter, capped at DefaultBackoffMax.
 //   - 429 responses honour the leader's Retry-After exactly instead of
 //     the follower's own backoff — the leader knows its budget.
 //   - Corrupt payloads (the delta and snapshot codecs both end in a
 //     CRC-32 trailer) are rejected and trigger an automatic
 //     full-snapshot resync; a corrupt byte can never poison the served
 //     map.
-//   - MaxFailures consecutive failures force the next sync to refetch
-//     the full snapshot rather than keep retrying a delta chain.
+//   - DefaultMaxFailures consecutive failures force the next sync to
+//     refetch the full snapshot rather than keep retrying a delta chain.
 //   - The last good snapshot is never dropped: reads keep serving stale
 //     data while the leader is away, and the staleness is surfaced —
 //     /healthz flips to 503 "stale" past MaxStaleness, /stats reports
@@ -52,11 +52,23 @@ import (
 // Defaults for the zero Config fields.
 const (
 	DefaultPoll         = time.Second
-	DefaultTimeout      = 10 * time.Second
-	DefaultBackoffBase  = 200 * time.Millisecond
-	DefaultBackoffMax   = 30 * time.Second
-	DefaultMaxFailures  = 5
 	DefaultMaxStaleness = 30 * time.Second
+)
+
+// The sync policy.
+const (
+	// DefaultTimeout bounds one sync request.
+	DefaultTimeout = 10 * time.Second
+	// DefaultBackoffBase and DefaultBackoffMax shape the failure
+	// backoff: after n consecutive failures the sleep is uniform in
+	// [0, min(DefaultBackoffMax, DefaultBackoffBase·2ⁿ⁻¹)] — full
+	// jitter, so a fleet of followers does not re-converge on a
+	// recovering leader in lockstep.
+	DefaultBackoffBase = 200 * time.Millisecond
+	DefaultBackoffMax  = 30 * time.Second
+	// DefaultMaxFailures consecutive sync failures force a
+	// full-snapshot resync.
+	DefaultMaxFailures = 5
 )
 
 // Config parameterises a Follower. Leader is required; everything else
@@ -73,18 +85,6 @@ type Config struct {
 	// Poll is the steady-state interval between syncs (≤ 0 means
 	// DefaultPoll).
 	Poll time.Duration
-	// Timeout bounds one sync request (≤ 0 means DefaultTimeout).
-	Timeout time.Duration
-	// BackoffBase and BackoffMax shape the failure backoff: after n
-	// consecutive failures the sleep is uniform in
-	// [0, min(BackoffMax, BackoffBase·2ⁿ⁻¹)] — full jitter, so a fleet
-	// of followers does not re-converge on a recovering leader in
-	// lockstep.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-	// MaxFailures forces a full-snapshot resync after that many
-	// consecutive sync failures (≤ 0 means DefaultMaxFailures).
-	MaxFailures int
 	// MaxStaleness is how long the replica may serve without a
 	// successful sync before /healthz reports 503 "stale"
 	// (≤ 0 means DefaultMaxStaleness).
@@ -145,7 +145,7 @@ type SyncStats struct {
 	NotModified uint64 `json:"not_modified"`
 	// Failures counts failed syncs; Corrupt the subset rejected by a
 	// codec (checksum, truncation); Resyncs the full-snapshot fetches
-	// forced by corruption or MaxFailures.
+	// forced by corruption or DefaultMaxFailures.
 	Failures uint64 `json:"failures"`
 	Corrupt  uint64 `json:"corrupt"`
 	Resyncs  uint64 `json:"resyncs"`
@@ -194,18 +194,6 @@ func New(cfg Config) (*Follower, error) {
 	cfg.Leader = strings.TrimSuffix(cfg.Leader, "/")
 	if cfg.Poll <= 0 {
 		cfg.Poll = DefaultPoll
-	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = DefaultTimeout
-	}
-	if cfg.BackoffBase <= 0 {
-		cfg.BackoffBase = DefaultBackoffBase
-	}
-	if cfg.BackoffMax <= 0 {
-		cfg.BackoffMax = DefaultBackoffMax
-	}
-	if cfg.MaxFailures <= 0 {
-		cfg.MaxFailures = DefaultMaxFailures
 	}
 	if cfg.MaxStaleness <= 0 {
 		cfg.MaxStaleness = DefaultMaxStaleness
@@ -306,9 +294,9 @@ func (f *Follower) backoff() time.Duration {
 	if n < 1 {
 		n = 1
 	}
-	bound := f.cfg.BackoffMax
-	if shift := n - 1; shift < 62 && f.cfg.BackoffBase<<shift < bound {
-		bound = f.cfg.BackoffBase << shift
+	bound := DefaultBackoffMax
+	if shift := n - 1; shift < 62 && DefaultBackoffBase<<shift < bound {
+		bound = DefaultBackoffBase << shift
 	}
 	f.mu.Lock()
 	r := f.rng()
@@ -334,7 +322,7 @@ func (f *Follower) SyncOnce(ctx context.Context) error {
 		f.stats.Failures++
 		f.stats.ConsecutiveFailures = f.fails
 		f.stats.LastError = err.Error()
-		if f.fails >= f.cfg.MaxFailures {
+		if f.fails >= DefaultMaxFailures {
 			// A delta chain that keeps failing is not worth resuming:
 			// refetch the whole map next time.
 			f.forceFull = true
@@ -472,7 +460,7 @@ func (f *Follower) adopt(m *rem.Map, tag string) error {
 // with no body; 429 surfaces the leader's Retry-After as a
 // retryAfterError; every other non-200 is a plain failure.
 func (f *Follower) fetch(ctx context.Context, path, etag string) (body []byte, tag string, status int, ct string, err error) {
-	ctx, cancel := context.WithTimeout(ctx, f.cfg.Timeout)
+	ctx, cancel := context.WithTimeout(ctx, DefaultTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, f.cfg.Leader+path, nil)
 	if err != nil {

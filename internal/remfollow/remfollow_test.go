@@ -367,9 +367,7 @@ func TestFaultMatrix(t *testing.T) {
 			h := newLeader(t, 6, 2)
 			h.round()
 			ft := &FaultTransport{}
-			f := newFollower(t, h, ft, func(c *Config) {
-				c.Timeout = 50 * time.Millisecond
-			})
+			f := newFollower(t, h, ft, nil)
 			ctx := context.Background()
 			if err := f.SyncOnce(ctx); err != nil {
 				t.Fatal(err)
@@ -382,7 +380,12 @@ func TestFaultMatrix(t *testing.T) {
 			h.round()
 			if tc.wantErr {
 				ft.Extend(tc.step)
-				if err := f.SyncOnce(ctx); err == nil {
+				// A short deadline stands in for DefaultTimeout, so the
+				// timeout fault expires in milliseconds.
+				fctx, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
+				err := f.SyncOnce(fctx)
+				cancel()
+				if err == nil {
 					t.Fatal("faulted sync reported success")
 				}
 				if !bytes.Equal(followerBytes(t, f), before) {
@@ -437,21 +440,23 @@ func TestCorruptDeltaAutoResync(t *testing.T) {
 	}
 }
 
-// TestMaxFailuresForcesFullResync: after MaxFailures consecutive
+// TestMaxFailuresForcesFullResync: after DefaultMaxFailures consecutive
 // failures the next successful sync refetches the full snapshot rather
 // than resuming the delta chain.
 func TestMaxFailuresForcesFullResync(t *testing.T) {
 	h := newLeader(t, 6, 2)
 	h.round()
 	ft := &FaultTransport{}
-	f := newFollower(t, h, ft, func(c *Config) { c.MaxFailures = 2 })
+	f := newFollower(t, h, ft, nil)
 	ctx := context.Background()
 	if err := f.SyncOnce(ctx); err != nil {
 		t.Fatal(err)
 	}
 	fulls := f.SyncStats().Fulls
-	ft.Extend(FaultStep{Kind: FaultReset}, FaultStep{Kind: FaultReset})
-	for i := 0; i < 2; i++ {
+	for i := 0; i < DefaultMaxFailures; i++ {
+		ft.Extend(FaultStep{Kind: FaultReset})
+	}
+	for i := 0; i < DefaultMaxFailures; i++ {
 		if err := f.SyncOnce(ctx); err == nil {
 			t.Fatal("faulted sync reported success")
 		}
@@ -481,8 +486,6 @@ func TestRetryAfterHonoured(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	f := newFollower(t, h, ft, func(c *Config) {
-		c.BackoffBase = time.Second
-		c.BackoffMax = 8 * time.Second
 		c.Rand = func() float64 { return 1 } // jitter at the cap, deterministic
 		c.Sleep = func(_ context.Context, d time.Duration) error {
 			sleeps = append(sleeps, d)
@@ -506,10 +509,10 @@ func TestRetryAfterHonoured(t *testing.T) {
 	}()
 	<-done
 	want := []time.Duration{
-		f.cfg.Poll,      // clean sync
-		7 * time.Second, // the leader's Retry-After, verbatim
-		2 * time.Second, // own backoff: the throttle was failure 1, so base × 2¹ × jitter(1)
-		f.cfg.Poll,      // recovered
+		f.cfg.Poll,             // clean sync
+		7 * time.Second,        // the leader's Retry-After, verbatim
+		2 * DefaultBackoffBase, // own backoff: the throttle was failure 1, so base × 2¹ × jitter(1)
+		f.cfg.Poll,             // recovered
 	}
 	if len(sleeps) != len(want) {
 		t.Fatalf("sleeps = %v", sleeps)
@@ -522,16 +525,25 @@ func TestRetryAfterHonoured(t *testing.T) {
 }
 
 // TestBackoffGrowsAndCaps: repeated failures double the jittered bound
-// up to BackoffMax.
+// from DefaultBackoffBase up to DefaultBackoffMax.
 func TestBackoffGrowsAndCaps(t *testing.T) {
 	h := newLeader(t, 6, 1)
 	h.round()
 	f := newFollower(t, h, nil, func(c *Config) {
-		c.BackoffBase = time.Second
-		c.BackoffMax = 10 * time.Second
 		c.Rand = func() float64 { return 1 }
 	})
-	want := []time.Duration{1 * time.Second, 2 * time.Second, 4 * time.Second, 8 * time.Second, 10 * time.Second, 10 * time.Second}
+	// Double from the base until the cap has answered twice.
+	var want []time.Duration
+	for w, capped := DefaultBackoffBase, 0; capped < 2; w *= 2 {
+		if w >= DefaultBackoffMax {
+			w = DefaultBackoffMax
+			capped++
+		}
+		want = append(want, w)
+	}
+	if len(want) < 4 {
+		t.Fatalf("schedule %v never grows before the cap", want)
+	}
 	for i, w := range want {
 		f.stateMu.Lock()
 		f.fails = i + 1
@@ -678,7 +690,7 @@ func TestConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.cfg.Poll != DefaultPoll || f.cfg.MaxFailures != DefaultMaxFailures || f.cfg.MaxStaleness != DefaultMaxStaleness {
+	if f.cfg.Poll != DefaultPoll || f.cfg.MaxStaleness != DefaultMaxStaleness {
 		t.Fatalf("defaults not applied: %+v", f.cfg)
 	}
 	if f.cfg.Leader != "http://localhost:1" {

@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/geom"
 	"repro/internal/rem"
@@ -119,7 +118,7 @@ func TestDeltaEndpointMonolithic(t *testing.T) {
 // view reproduces the new merged view bit for bit (rule 8 over the
 // delta wire).
 func TestDeltaEndpointSharded(t *testing.T) {
-	for _, shards := range []int{1, 2, 4} {
+	for _, shards := range rule8ShardCounts {
 		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
 			ss, _, _ := newServedShards(t, 9, shards)
 			base, baseTag, err := ShardedBackend(ss).Snapshot()
@@ -178,26 +177,11 @@ func TestDeltaEndpointEmpty(t *testing.T) {
 	}
 }
 
-// TestServerTimeouts pins the Options → http.Server wiring: zero means
-// the hardened default, negative disables, positive passes through.
+// TestServerTimeouts pins the http.Server wiring: every listener gets
+// the package's hardened connection-lifecycle bounds.
 func TestServerTimeouts(t *testing.T) {
-	st := remstore.New(0)
-	hs := New(StoreBackend(st), Options{}).httpServer()
+	hs := New(StoreBackend(remstore.New(0)), Options{}).httpServer()
 	if hs.ReadHeaderTimeout != DefaultReadHeaderTimeout || hs.ReadTimeout != DefaultReadTimeout || hs.IdleTimeout != DefaultIdleTimeout {
-		t.Fatalf("default timeouts = %v/%v/%v", hs.ReadHeaderTimeout, hs.ReadTimeout, hs.IdleTimeout)
-	}
-	hs = New(StoreBackend(st), Options{
-		ReadHeaderTimeout: 7 * time.Second,
-		ReadTimeout:       -1,
-		IdleTimeout:       time.Minute,
-	}).httpServer()
-	if hs.ReadHeaderTimeout != 7*time.Second {
-		t.Fatalf("explicit ReadHeaderTimeout = %v", hs.ReadHeaderTimeout)
-	}
-	if hs.ReadTimeout != 0 {
-		t.Fatalf("disabled ReadTimeout = %v, want 0", hs.ReadTimeout)
-	}
-	if hs.IdleTimeout != time.Minute {
-		t.Fatalf("explicit IdleTimeout = %v", hs.IdleTimeout)
+		t.Fatalf("timeouts = %v/%v/%v", hs.ReadHeaderTimeout, hs.ReadTimeout, hs.IdleTimeout)
 	}
 }

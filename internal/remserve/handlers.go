@@ -360,9 +360,9 @@ func (s *Server) handleStrongestBatch(w http.ResponseWriter, r *http.Request) {
 // picks the codec — the binary wire format (application/x-rem-batch,
 // decoded straight into the pooled point buffer with zero text
 // parsing) or JSON — and a malformed body answers with its wireError's
-// status (413 over MaxBatchPoints on both codecs). Either codec leaves
-// bb.req.Key and bb.pts set; needKey is false on POST /strongest. ok is
-// false when a response has already been written.
+// status (413 over DefaultMaxBatchPoints on both codecs). Either codec
+// leaves bb.req.Key and bb.pts set; needKey is false on POST
+// /strongest. ok is false when a response has already been written.
 func (s *Server) decodeBatch(w http.ResponseWriter, r *http.Request, bb *buffers, needKey bool) bool {
 	body, ok := s.readCappedBody(w, r, bb)
 	if !ok {
@@ -370,7 +370,7 @@ func (s *Server) decodeBatch(w http.ResponseWriter, r *http.Request, bb *buffers
 	}
 	var err error
 	if isWireContentType(r.Header.Get("Content-Type")) {
-		err = decodeWireBatch(body, bb, s.maxPoints, !needKey)
+		err = decodeWireBatch(body, bb, !needKey)
 	} else {
 		err = s.parseJSONBatch(body, bb, needKey)
 	}
@@ -392,8 +392,8 @@ func (s *Server) parseJSONBatch(body []byte, bb *buffers, needKey bool) error {
 	if needKey && bb.req.Key == "" {
 		return wireErrorf(400, `remserve: batch body needs a "key"`)
 	}
-	if len(bb.req.Points) > s.maxPoints {
-		return wireErrorf(413, "remserve: batch of %d points exceeds the %d-point cap", len(bb.req.Points), s.maxPoints)
+	if len(bb.req.Points) > DefaultMaxBatchPoints {
+		return wireErrorf(413, "remserve: batch of %d points exceeds the %d-point cap", len(bb.req.Points), DefaultMaxBatchPoints)
 	}
 	bb.pts = bb.pts[:0]
 	for _, q := range bb.req.Points {
@@ -608,9 +608,10 @@ func writeDoc(w http.ResponseWriter, code int, doc any) {
 // healthz is 200" is a complete readiness check for the CI smoke and
 // for orchestrators. The 503 body names the condition: "empty" when
 // nothing has published, "degraded" when some shards serve and others
-// are still pending (a store mid-first-round), with the pending count —
-// an operator reading the probe sees which failure they have, not a
-// bare status code. A Reporter backend supplies its own probe.
+// are still pending (a store mid-first-round), with the pending count,
+// or when the ingest WAL is poisoned, with its error in "wal" — an
+// operator reading the probe sees which failure they have, not a bare
+// status code. A Reporter backend supplies its own probe.
 func (s *Server) handleHealthz(w http.ResponseWriter) {
 	if s.rep != nil {
 		code, doc := s.rep.Health()
@@ -618,12 +619,19 @@ func (s *Server) handleHealthz(w http.ResponseWriter) {
 		return
 	}
 	st := s.b.Stats()
+	var walErr error
+	if s.ingestQ != nil && s.ingestQ.WAL() != nil {
+		walErr = s.ingestQ.WAL().Err()
+	}
 	status := "serving"
 	if !st.Serving {
 		status = "empty"
 		if st.Publishes > 0 {
 			status = "degraded"
 		}
+	}
+	if walErr != nil {
+		status = "degraded"
 	}
 	bb := bufPool.Get().(*buffers)
 	b := append(bb.out[:0], `{"status":"`...)
@@ -636,12 +644,17 @@ func (s *Server) handleHealthz(w http.ResponseWriter) {
 	}
 	b = append(b, `,"version":"`...)
 	b = append(b, st.Version...)
-	b = append(b, "\"}\n"...)
+	b = append(b, '"')
+	if walErr != nil {
+		b = append(b, `,"wal":`...)
+		b = appendJSONString(b, walErr.Error())
+	}
+	b = append(b, "}\n"...)
 	h := w.Header()
 	if _, ok := h["Content-Type"]; !ok {
 		h["Content-Type"] = jsonCT
 	}
-	if !st.Serving {
+	if !st.Serving || walErr != nil {
 		w.WriteHeader(http.StatusServiceUnavailable)
 	}
 	w.Write(b)
@@ -667,19 +680,19 @@ func (s *Server) handleVersion(w http.ResponseWriter) {
 
 // readCappedBody is the one body-cap gate every POST endpoint (/at,
 // /strongest, /observe) shares: the declared Content-Length and the
-// actual bytes are both held to MaxBatchBytes (413 over it, 400 on a
-// read fault), and the body lands in the pooled request buffer. ok is
-// false when a response has already been written.
+// actual bytes are both held to DefaultMaxBatchBytes (413 over it, 400
+// on a read fault), and the body lands in the pooled request buffer. ok
+// is false when a response has already been written.
 func (s *Server) readCappedBody(w http.ResponseWriter, r *http.Request, bb *buffers) ([]byte, bool) {
-	if r.ContentLength > s.maxBytes {
-		http.Error(w, fmt.Sprintf("remserve: batch body exceeds %d bytes", s.maxBytes), http.StatusRequestEntityTooLarge)
+	if r.ContentLength > DefaultMaxBatchBytes {
+		http.Error(w, fmt.Sprintf("remserve: batch body exceeds %d bytes", DefaultMaxBatchBytes), http.StatusRequestEntityTooLarge)
 		return nil, false
 	}
-	body, err := readBody(bb.body[:0], r.Body, s.maxBytes)
+	body, err := readBody(bb.body[:0], r.Body, DefaultMaxBatchBytes)
 	bb.body = body[:0]
 	if err != nil {
 		if errors.Is(err, errBodyTooLarge) {
-			http.Error(w, fmt.Sprintf("remserve: batch body exceeds %d bytes", s.maxBytes), http.StatusRequestEntityTooLarge)
+			http.Error(w, fmt.Sprintf("remserve: batch body exceeds %d bytes", DefaultMaxBatchBytes), http.StatusRequestEntityTooLarge)
 		} else {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 		}
@@ -688,7 +701,7 @@ func (s *Server) readCappedBody(w http.ResponseWriter, r *http.Request, bb *buff
 	return body, true
 }
 
-// errBodyTooLarge marks a request body over the configured cap.
+// errBodyTooLarge marks a request body over the cap.
 var errBodyTooLarge = errors.New("remserve: request body too large")
 
 // readBody appends the request body into dst, refusing bodies longer

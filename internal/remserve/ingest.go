@@ -81,9 +81,9 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if len(batch.Points) > s.maxPoints {
+	if len(batch.Points) > DefaultMaxBatchPoints {
 		http.Error(w, "remserve: observation batch of "+strconv.Itoa(len(batch.Points))+
-			" points exceeds the "+strconv.Itoa(s.maxPoints)+"-point cap", http.StatusRequestEntityTooLarge)
+			" points exceeds the "+strconv.Itoa(DefaultMaxBatchPoints)+"-point cap", http.StatusRequestEntityTooLarge)
 		return
 	}
 	seq, err := s.ingestQ.Submit(batch)

@@ -206,14 +206,14 @@ func TestObservePointCap(t *testing.T) {
 	q := remwal.NewQueue(remwal.QueueConfig{Capacity: 4})
 	defer q.Close()
 	srv := httptest.NewServer(New(ShardedBackend(ss), Options{
-		MaxBatchPoints: 3,
-		Ingest:         IngestOptions{Queue: q},
+		Ingest: IngestOptions{Queue: q},
 	}))
 	defer srv.Close()
 
+	const n = DefaultMaxBatchPoints + 1
 	var sb strings.Builder
 	sb.WriteString(`{"key":"aa:00","observations":[`)
-	for i := 0; i < 4; i++ {
+	for i := 0; i < n; i++ {
 		if i > 0 {
 			sb.WriteByte(',')
 		}
@@ -226,8 +226,8 @@ func TestObservePointCap(t *testing.T) {
 	}
 	wire := remwal.AppendBatch(nil, remwal.Batch{
 		Key:    "aa:00",
-		Points: make([]geom.Vec3, 4),
-		Values: make([]float64, 4),
+		Points: make([]geom.Vec3, n),
+		Values: make([]float64, n),
 	})
 	resp = postObserve(t, srv.URL, WireContentType, "", wire)
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {

@@ -36,11 +36,16 @@ func TestMalformedRequests(t *testing.T) {
 		return nil
 	})
 	srv := httptest.NewServer(New(ShardedBackend(ss), Options{
-		MaxBatchBytes: 256, MaxBatchPoints: 4,
 		Ingest: IngestOptions{Queue: q},
 	}))
 	defer srv.Close()
 	key := keys[0]
+	// Bodies one past each cap: a batch of DefaultMaxBatchPoints+1
+	// points (well under the byte cap) and a one-point body padded past
+	// DefaultMaxBatchBytes.
+	points := strings.Repeat("[1,1,1],", DefaultMaxBatchPoints) + "[1,1,1]"
+	observations := strings.Repeat("[1,1,1,-50],", DefaultMaxBatchPoints) + "[1,1,1,-50]"
+	pad := strings.Repeat("x", DefaultMaxBatchBytes)
 
 	cases := []struct {
 		name   string
@@ -72,7 +77,7 @@ func TestMalformedRequests(t *testing.T) {
 		{name: "strongest batch bad json", method: "POST", path: "/strongest", body: `{"points":`, want: 400},
 		{name: "strongest batch overflow point", method: "POST", path: "/strongest", body: `{"points":[[1,1e999,1]]}`, want: 400},
 		{name: "strongest batch too many points", method: "POST", path: "/strongest",
-			body: `{"points":[[1,1,1],[1,1,1],[1,1,1],[1,1,1],[1,1,1]]}`, want: 413},
+			body: `{"points":[` + points + `]}`, want: 413},
 		{name: "batch ok", method: "POST", path: "/at", body: `{"key":"` + key + `","points":[[1,1,1]]}`, want: 200},
 		{name: "batch empty points", method: "POST", path: "/at", body: `{"key":"` + key + `","points":[]}`, want: 200},
 		{name: "batch bad json", method: "POST", path: "/at", body: `{"key":`, want: 400},
@@ -80,9 +85,9 @@ func TestMalformedRequests(t *testing.T) {
 		{name: "batch unknown key", method: "POST", path: "/at", body: `{"key":"nope","points":[[1,1,1]]}`, want: 404},
 		{name: "batch overflow point", method: "POST", path: "/at", body: `{"key":"` + key + `","points":[[1,1e999,1]]}`, want: 400},
 		{name: "batch too many points", method: "POST", path: "/at",
-			body: `{"key":"` + key + `","points":[[1,1,1],[1,1,1],[1,1,1],[1,1,1],[1,1,1]]}`, want: 413},
+			body: `{"key":"` + key + `","points":[` + points + `]}`, want: 413},
 		{name: "batch oversized body", method: "POST", path: "/at",
-			body: `{"key":"` + key + `","points":[[1,1,1]],"pad":"` + strings.Repeat("x", 300) + `"}`, want: 413},
+			body: `{"key":"` + key + `","points":[[1,1,1]],"pad":"` + pad + `"}`, want: 413},
 		{name: "batch wire truncated body", method: "POST", path: "/at", body: "REMQ\x01\x00", ct: WireContentType, want: 400},
 		{name: "batch wire wrong magic", method: "POST", path: "/at",
 			body: "XERT" + strings.Repeat("\x00", 12), ct: WireContentType, want: 400},
@@ -98,9 +103,9 @@ func TestMalformedRequests(t *testing.T) {
 		{name: "observe non-finite value", method: "POST", path: "/observe",
 			body: `{"key":"` + key + `","observations":[[1,1,1,1e999]]}`, want: 400},
 		{name: "observe too many points", method: "POST", path: "/observe",
-			body: `{"key":"` + key + `","observations":[[1,1,1,-50],[1,1,1,-50],[1,1,1,-50],[1,1,1,-50],[1,1,1,-50]]}`, want: 413},
+			body: `{"key":"` + key + `","observations":[` + observations + `]}`, want: 413},
 		{name: "observe oversized body", method: "POST", path: "/observe",
-			body: `{"key":"` + key + `","observations":[[1,1,1,-50]],"pad":"` + strings.Repeat("x", 300) + `"}`, want: 413},
+			body: `{"key":"` + key + `","observations":[[1,1,1,-50]],"pad":"` + pad + `"}`, want: 413},
 		{name: "observe wire truncated body", method: "POST", path: "/observe", body: "REMO\x01\x00", ct: WireContentType, want: 400},
 		{name: "observe wire wrong magic", method: "POST", path: "/observe",
 			body: "XERT" + strings.Repeat("\x00", 12), ct: WireContentType, want: 400},
@@ -142,15 +147,20 @@ func TestMalformedRequests(t *testing.T) {
 // merged snapshot with 503 until every shard has published.
 func TestEmptyAndPartialStores(t *testing.T) {
 	keys := testKeys(4)
-	// Explicit split: keys 0,1 → shard 0; keys 2,3 → shard 1.
-	part := remshard.Explicit{Assign: map[string]int{
-		keys[0]: 0, keys[1]: 0, keys[2]: 1, keys[3]: 1,
-	}}
 	ss, err := remshard.New(keys, remshard.Config{
-		Shards: 2, Partitioner: part, Volume: testVolume(), Resolution: [3]int{8, 6, 4},
+		Shards: 2, Volume: testVolume(), Resolution: [3]int{8, 6, 4},
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Split the vocabulary by owning shard, as global indexes.
+	var owned [2][]int
+	for gi, k := range keys {
+		si, _ := ss.ShardFor(k)
+		owned[si] = append(owned[si], gi)
+	}
+	if len(owned[0]) == 0 || len(owned[1]) == 0 {
+		t.Fatalf("hash layout left a shard empty: %v", owned)
 	}
 	srv := httptest.NewServer(New(ShardedBackend(ss), Options{}))
 	defer srv.Close()
@@ -176,13 +186,13 @@ func TestEmptyAndPartialStores(t *testing.T) {
 
 	// Publish shard 0 only: its keys serve, shard 1's still 503, and
 	// the merged snapshot (and healthz) stay 503 — partial, retryable.
-	if _, err := ss.Rebuild([]int{0, 1}, testPredict, rem.BuildOptions{}); err != nil {
+	if _, err := ss.Rebuild(owned[0], testPredict, rem.BuildOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if status, _, _ := get(t, srv.URL+"/at?key="+keys[0]+"&x=1&y=1"); status != 200 {
+	if status, _, _ := get(t, srv.URL+"/at?key="+keys[owned[0][0]]+"&x=1&y=1"); status != 200 {
 		t.Fatalf("published shard's key: status %d, want 200", status)
 	}
-	if status, _, _ := get(t, srv.URL+"/at?key="+keys[2]+"&x=1&y=1"); status != http.StatusServiceUnavailable {
+	if status, _, _ := get(t, srv.URL+"/at?key="+keys[owned[1][0]]+"&x=1&y=1"); status != http.StatusServiceUnavailable {
 		t.Fatalf("unpublished shard's key: status %d, want 503", status)
 	}
 	status, _, body := get(t, srv.URL+"/snapshot")
@@ -198,7 +208,7 @@ func TestEmptyAndPartialStores(t *testing.T) {
 	}
 
 	// Complete the first round: everything serves.
-	if _, err := ss.Rebuild([]int{2, 3}, testPredict, rem.BuildOptions{}); err != nil {
+	if _, err := ss.Rebuild(owned[1], testPredict, rem.BuildOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if status, _, body := get(t, srv.URL+"/healthz"); status != 200 || !strings.Contains(string(body), `"serving"`) {

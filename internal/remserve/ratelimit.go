@@ -14,9 +14,9 @@ import (
 // 429 with a Retry-After naming the seconds until the next token
 // accrues. The clock is injectable (RateLimit.Now) so the refill
 // arithmetic is testable without sleeping, and the bucket map is
-// bounded: past MaxClients the fully-refilled (idle) buckets are
-// evicted first — an evicted client merely starts over with a fresh
-// burst, so eviction can never wrongly throttle anyone.
+// bounded: past DefaultRateLimitClients the fully-refilled (idle)
+// buckets are evicted first — an evicted client merely starts over with
+// a fresh burst, so eviction can never wrongly throttle anyone.
 
 // RateLimit configures per-client request throttling. The zero value
 // disables it entirely.
@@ -30,13 +30,9 @@ type RateLimit struct {
 	// Now supplies the clock (nil means time.Now); injectable for
 	// deterministic tests.
 	Now func() time.Time
-	// MaxClients bounds the bucket map (≤ 0 means
-	// DefaultRateLimitClients).
-	MaxClients int
 }
 
-// DefaultRateLimitClients bounds the per-client bucket map when
-// RateLimit.MaxClients is unset.
+// DefaultRateLimitClients bounds the per-client bucket map.
 const DefaultRateLimitClients = 4096
 
 // bucket is one client's token balance at its last refill instant.
@@ -47,10 +43,9 @@ type bucket struct {
 
 // limiter is the shared token-bucket state behind ServeHTTP's gate.
 type limiter struct {
-	rps        float64
-	burst      float64
-	now        func() time.Time
-	maxClients int
+	rps   float64
+	burst float64
+	now   func() time.Time
 
 	mu      sync.Mutex
 	buckets map[string]*bucket
@@ -72,16 +67,11 @@ func newLimiter(cfg RateLimit) *limiter {
 	if now == nil {
 		now = time.Now
 	}
-	maxClients := cfg.MaxClients
-	if maxClients <= 0 {
-		maxClients = DefaultRateLimitClients
-	}
 	return &limiter{
-		rps:        cfg.RPS,
-		burst:      burst,
-		now:        now,
-		maxClients: maxClients,
-		buckets:    make(map[string]*bucket),
+		rps:     cfg.RPS,
+		burst:   burst,
+		now:     now,
+		buckets: make(map[string]*bucket),
 	}
 }
 
@@ -95,7 +85,7 @@ func (l *limiter) allow(addr string) (ok bool, retryAfter int) {
 	defer l.mu.Unlock()
 	b := l.buckets[key]
 	if b == nil {
-		if len(l.buckets) >= l.maxClients {
+		if len(l.buckets) >= DefaultRateLimitClients {
 			l.evictLocked(t)
 		}
 		b = &bucket{tokens: l.burst, last: t}
@@ -129,7 +119,7 @@ func (l *limiter) evictLocked(t time.Time) {
 		}
 	}
 	for k := range l.buckets {
-		if len(l.buckets) < l.maxClients {
+		if len(l.buckets) < DefaultRateLimitClients {
 			break
 		}
 		delete(l.buckets, k)

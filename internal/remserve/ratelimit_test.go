@@ -3,6 +3,7 @@ package remserve
 import (
 	"bytes"
 	"compress/gzip"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -18,8 +19,8 @@ type fakeClock struct{ t time.Time }
 func (c *fakeClock) now() time.Time          { return c.t }
 func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 
-func newTestLimiter(rps float64, burst, maxClients int, clk *fakeClock) *limiter {
-	return newLimiter(RateLimit{RPS: rps, Burst: burst, MaxClients: maxClients, Now: clk.now})
+func newTestLimiter(rps float64, burst int, clk *fakeClock) *limiter {
+	return newLimiter(RateLimit{RPS: rps, Burst: burst, Now: clk.now})
 }
 
 // TestLimiterTokenBucket pins the bucket arithmetic: a fresh client
@@ -28,7 +29,7 @@ func newTestLimiter(rps float64, burst, maxClients int, clk *fakeClock) *limiter
 // 1/RPS elapsed.
 func TestLimiterTokenBucket(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(1000, 0)}
-	l := newTestLimiter(2, 3, 0, clk) // 2 tokens/s, burst 3
+	l := newTestLimiter(2, 3, clk) // 2 tokens/s, burst 3
 
 	for i := 0; i < 3; i++ {
 		if ok, _ := l.allow("10.0.0.1:1111"); !ok {
@@ -65,7 +66,7 @@ func TestLimiterTokenBucket(t *testing.T) {
 // host shares a bucket; a different host gets its own.
 func TestLimiterSharedHostBucket(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(1000, 0)}
-	l := newTestLimiter(1, 2, 0, clk)
+	l := newTestLimiter(1, 2, clk)
 
 	if ok, _ := l.allow("10.0.0.1:1111"); !ok {
 		t.Fatal("first request refused")
@@ -92,31 +93,50 @@ func TestLimiterSharedHostBucket(t *testing.T) {
 }
 
 // TestLimiterEviction pins the map bound: the bucket map never exceeds
-// MaxClients, idle (fully refilled) buckets are evicted first, and an
-// evicted client re-enters with a fresh burst rather than an inherited
-// debt.
+// DefaultRateLimitClients, idle (fully refilled) buckets are evicted
+// first, and an evicted client re-enters with a fresh burst rather than
+// an inherited debt.
 func TestLimiterEviction(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(1000, 0)}
-	l := newTestLimiter(1, 1, 2, clk)
+	l := newTestLimiter(1, 1, clk)
+	client := func(i int) string { return fmt.Sprintf("10.%d.%d.1:1", i>>8, i&0xff) }
 
-	l.allow("10.0.0.1:1")
-	l.allow("10.0.0.2:1")
-	if len(l.buckets) != 2 {
-		t.Fatalf("%d buckets, want 2", len(l.buckets))
+	for i := 0; i < DefaultRateLimitClients; i++ {
+		l.allow(client(i))
 	}
-	// Both buckets refill within 1 s; a third client must evict rather
-	// than grow the map.
+	if len(l.buckets) != DefaultRateLimitClients {
+		t.Fatalf("%d buckets, want %d", len(l.buckets), DefaultRateLimitClients)
+	}
+	// Every bucket refills within 1 s; one more client must evict the
+	// idle ones rather than grow the map.
 	clk.advance(2 * time.Second)
-	l.allow("10.0.0.3:1")
-	if len(l.buckets) > 2 {
-		t.Fatalf("%d buckets after eviction, want ≤ 2", len(l.buckets))
+	if ok, _ := l.allow(client(DefaultRateLimitClients)); !ok {
+		t.Fatal("new client refused")
+	}
+	if len(l.buckets) != 1 {
+		t.Fatalf("%d buckets after idle eviction, want 1", len(l.buckets))
 	}
 	// Even mid-burst (nothing refilled), the bound holds via arbitrary
 	// eviction.
-	l.allow("10.0.0.4:1")
-	if len(l.buckets) > 2 {
-		t.Fatalf("%d buckets after mid-burst eviction, want ≤ 2", len(l.buckets))
+	for i := 0; i <= DefaultRateLimitClients; i++ {
+		l.allow(client(DefaultRateLimitClients + 1 + i))
 	}
+	if len(l.buckets) > DefaultRateLimitClients {
+		t.Fatalf("%d buckets after mid-burst eviction, want ≤ %d", len(l.buckets), DefaultRateLimitClients)
+	}
+	// A client evicted with an empty bucket starts over with a full one
+	// (no time has passed, so a kept bucket would refuse).
+	for i := 0; i <= DefaultRateLimitClients; i++ {
+		c := client(DefaultRateLimitClients + 1 + i)
+		if _, kept := l.buckets[clientKey(c)]; kept {
+			continue
+		}
+		if ok, _ := l.allow(c); !ok {
+			t.Fatal("evicted client refused: inherited its old debt")
+		}
+		return
+	}
+	t.Fatal("mid-burst eviction evicted no client")
 }
 
 // TestRateLimitOverHTTP drives the limiter through the full server: a

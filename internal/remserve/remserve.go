@@ -267,7 +267,8 @@ func (b shardedBackend) Stats() Stats {
 }
 
 const (
-	// DefaultMaxBatchBytes caps a POST /at body; larger bodies get 413.
+	// DefaultMaxBatchBytes caps a POST body (/at, /strongest,
+	// /observe); larger bodies get 413.
 	DefaultMaxBatchBytes = 1 << 20
 	// DefaultMaxBatchPoints caps the points of one batch; larger
 	// batches get 413.
@@ -281,7 +282,7 @@ const (
 	// stalled client.
 	DefaultReadHeaderTimeout = 5 * time.Second
 	// DefaultReadTimeout bounds reading one full request (headers and
-	// body; POST /at bodies are capped at MaxBatchBytes anyway).
+	// body; batch bodies are capped at DefaultMaxBatchBytes anyway).
 	DefaultReadTimeout = 30 * time.Second
 	// DefaultIdleTimeout bounds how long a keep-alive connection may sit
 	// idle between requests.
@@ -290,24 +291,12 @@ const (
 
 // Options tunes a Server.
 type Options struct {
-	// MaxBatchBytes caps the POST /at request body in bytes
-	// (≤ 0 means DefaultMaxBatchBytes).
-	MaxBatchBytes int64
-	// MaxBatchPoints caps the points of one POST /at batch
-	// (≤ 0 means DefaultMaxBatchPoints).
-	MaxBatchPoints int
 	// RateLimit throttles per-client request rates (429 + Retry-After
 	// past the budget; /healthz exempt). The zero value disables it.
 	RateLimit RateLimit
 	// Ingest enables POST /observe: a queue to submit into and an
 	// optional bearer token. The zero value leaves the server read-only.
 	Ingest IngestOptions
-	// ReadHeaderTimeout, ReadTimeout and IdleTimeout harden the listener
-	// against stalled and idle clients. Zero means the package default
-	// (DefaultReadHeaderTimeout etc.); negative disables that bound.
-	ReadHeaderTimeout time.Duration
-	ReadTimeout       time.Duration
-	IdleTimeout       time.Duration
 	// Observer attaches the observability layer: per-endpoint request
 	// counters and latency histograms (split by wire codec and status
 	// class) plus GET /metrics exposition of the observer's registry.
@@ -316,33 +305,15 @@ type Options struct {
 	Observer *remobs.Observer
 }
 
-// timeoutOr resolves one Options timeout: zero → default, negative →
-// disabled (0 in net/http terms).
-func timeoutOr(v, def time.Duration) time.Duration {
-	if v == 0 {
-		return def
-	}
-	if v < 0 {
-		return 0
-	}
-	return v
-}
-
 // Server is the HTTP front. It is an http.Handler (mount it anywhere)
 // and owns an optional listener lifecycle: Serve/ListenAndServe block
 // until Shutdown, which stops accepting and drains in-flight requests.
 type Server struct {
 	b           Backend
 	rep         Reporter // b's own /healthz and /stats, if it has them
-	maxBytes    int64
-	maxPoints   int
 	limiter     *limiter
 	ingestQ     *remwal.Queue
 	ingestToken string
-
-	readHeaderTimeout time.Duration
-	readTimeout       time.Duration
-	idleTimeout       time.Duration
 
 	obs     *remobs.Observer
 	metrics *serveMetrics
@@ -354,22 +325,11 @@ type Server struct {
 
 // New builds a server over any backend.
 func New(b Backend, opts Options) *Server {
-	if opts.MaxBatchBytes <= 0 {
-		opts.MaxBatchBytes = DefaultMaxBatchBytes
-	}
-	if opts.MaxBatchPoints <= 0 {
-		opts.MaxBatchPoints = DefaultMaxBatchPoints
-	}
 	s := &Server{
-		b:                 b,
-		maxBytes:          opts.MaxBatchBytes,
-		maxPoints:         opts.MaxBatchPoints,
-		limiter:           newLimiter(opts.RateLimit),
-		ingestQ:           opts.Ingest.Queue,
-		ingestToken:       opts.Ingest.Token,
-		readHeaderTimeout: timeoutOr(opts.ReadHeaderTimeout, DefaultReadHeaderTimeout),
-		readTimeout:       timeoutOr(opts.ReadTimeout, DefaultReadTimeout),
-		idleTimeout:       timeoutOr(opts.IdleTimeout, DefaultIdleTimeout),
+		b:           b,
+		limiter:     newLimiter(opts.RateLimit),
+		ingestQ:     opts.Ingest.Queue,
+		ingestToken: opts.Ingest.Token,
 	}
 	s.rep, _ = b.(Reporter)
 	if opts.Observer != nil {
@@ -380,13 +340,13 @@ func New(b Backend, opts Options) *Server {
 }
 
 // httpServer assembles the hardened net/http server Serve runs: the
-// handler plus the configured connection-lifecycle bounds.
+// handler plus the package's connection-lifecycle bounds.
 func (s *Server) httpServer() *http.Server {
 	return &http.Server{
 		Handler:           s,
-		ReadHeaderTimeout: s.readHeaderTimeout,
-		ReadTimeout:       s.readTimeout,
-		IdleTimeout:       s.idleTimeout,
+		ReadHeaderTimeout: DefaultReadHeaderTimeout,
+		ReadTimeout:       DefaultReadTimeout,
+		IdleTimeout:       DefaultIdleTimeout,
 	}
 }
 

@@ -107,14 +107,19 @@ func get(t testing.TB, url string) (int, http.Header, []byte) {
 	return r.StatusCode, r.Header, body
 }
 
-// TestRule8OverTheWire pins the acceptance identity: for shard counts
-// 1, 2 and 4, every byte served over HTTP equals what the direct
-// library calls return — /at and /strongest render the exact value
-// bits the sharded store (and, by rule 8, the monolithic map) answers,
-// /snapshot streams exactly MergedSnapshot().WriteTo, and /stats is
-// exactly the marshalled backend stats.
+// rule8ShardCounts are the shard counts the rule 8 tests sweep over
+// their 9-key vocabulary: one shard, two spreads, and one shard past
+// the vocabulary, so at least one shard is always empty.
+var rule8ShardCounts = []int{1, 2, 4, 10}
+
+// TestRule8OverTheWire pins the acceptance identity: for every
+// rule8ShardCounts entry, every byte served over HTTP equals what the
+// direct library calls return — /at and /strongest render the exact
+// value bits the sharded store (and, by rule 8, the monolithic map)
+// answers, /snapshot streams exactly MergedSnapshot().WriteTo, and
+// /stats is exactly the marshalled backend stats.
 func TestRule8OverTheWire(t *testing.T) {
-	for _, shards := range []int{1, 2, 4} {
+	for _, shards := range rule8ShardCounts {
 		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
 			ss, mono, keys := newServedShards(t, 9, shards)
 			srv := httptest.NewServer(New(ShardedBackend(ss), Options{}))

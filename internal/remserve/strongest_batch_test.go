@@ -42,12 +42,12 @@ func postBody(t testing.TB, url, contentType, accept, body string) (int, http.He
 }
 
 // TestStrongestBatchRule8 pins the batch best-server endpoint across
-// shard counts 1, 2 and 4: the JSON response renders exactly the keys
-// and value bits StrongestBatchInto returns (which rule 8 ties to the
+// rule8ShardCounts: the JSON response renders exactly the keys and
+// value bits StrongestBatchInto returns (which rule 8 ties to the
 // monolithic map), the binary "REMW" response decodes to the identical
 // keys and bit-identical values, and all four codec pairings agree.
 func TestStrongestBatchRule8(t *testing.T) {
-	for _, shards := range []int{1, 2, 4} {
+	for _, shards := range rule8ShardCounts {
 		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
 			ss, mono, _ := newServedShards(t, 9, shards)
 			srv := httptest.NewServer(New(ShardedBackend(ss), Options{}))

@@ -50,10 +50,10 @@ import (
 // unsupported version, a truncated header, a key over the snapshot
 // codec's key bound, a non-finite coordinate, or a declared size that
 // disagrees with the body length is a 400; point counts over
-// MaxBatchPoints are a 413 like their JSON equivalents. Rule 8 extends
-// to this wire: the value block of a binary response holds bit-for-bit
-// the float64s AtBatchInto writes, which is also exactly what the JSON
-// path renders (pinned by TestWireRule8AcrossFormats).
+// DefaultMaxBatchPoints are a 413 like their JSON equivalents. Rule 8
+// extends to this wire: the value block of a binary response holds
+// bit-for-bit the float64s AtBatchInto writes, which is also exactly
+// what the JSON path renders (pinned by TestWireRule8AcrossFormats).
 
 // WireContentType is the media type of every binary wire message, for
 // both Content-Type (request codec) and Accept (response codec).
@@ -93,11 +93,11 @@ func wireErrorf(status int, format string, args ...any) *wireError {
 // decodeWireBatch parses a "REMQ" batch request into the pooled request
 // buffers: the key is memoised on bb (steady-state requests for the
 // same key allocate nothing) and the coordinates are decoded directly
-// into bb.pts — no intermediate representation, no text. maxPoints
-// mirrors the JSON path's batch cap. allowEmptyKey admits a zero-length
-// key — the POST /strongest form, where the query spans the whole
-// vocabulary and the key field is vestigial.
-func decodeWireBatch(body []byte, bb *buffers, maxPoints int, allowEmptyKey bool) error {
+// into bb.pts — no intermediate representation, no text. The point cap
+// is the JSON path's DefaultMaxBatchPoints. allowEmptyKey admits a
+// zero-length key — the POST /strongest form, where the query spans the
+// whole vocabulary and the key field is vestigial.
+func decodeWireBatch(body []byte, bb *buffers, allowEmptyKey bool) error {
 	if len(body) < wireReqHeaderLen {
 		return wireErrorf(400, "remserve: binary batch header truncated: %d bytes, need %d", len(body), wireReqHeaderLen)
 	}
@@ -124,8 +124,8 @@ func decodeWireBatch(body []byte, bb *buffers, maxPoints int, allowEmptyKey bool
 	if want != uint64(len(body)) {
 		return wireErrorf(400, "remserve: binary batch declares %d bytes, body has %d", want, len(body))
 	}
-	if int(count) > maxPoints {
-		return wireErrorf(413, "remserve: binary batch of %d points exceeds the %d-point cap", count, maxPoints)
+	if count > DefaultMaxBatchPoints {
+		return wireErrorf(413, "remserve: binary batch of %d points exceeds the %d-point cap", count, DefaultMaxBatchPoints)
 	}
 	kb := body[wireReqHeaderLen : wireReqHeaderLen+keyLen]
 	if bb.wireKey != string(kb) {

@@ -65,7 +65,7 @@ func jsonBatchBody(t testing.TB, key string, pts []geom.Vec3) []byte {
 // binary variants of GET /at and GET /strongest are pinned the same
 // way.
 func TestWireRule8AcrossFormats(t *testing.T) {
-	for _, shards := range []int{1, 2, 4} {
+	for _, shards := range rule8ShardCounts {
 		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
 			ss, mono, keys := newServedShards(t, 9, shards)
 			srv := httptest.NewServer(New(ShardedBackend(ss), Options{}))
@@ -229,11 +229,12 @@ func TestWireNaNBitsSurvive(t *testing.T) {
 
 // TestWireMalformed is the binary counterpart of the JSON malformed
 // table: every way a binary batch body can be wrong, pinned to its
-// status code. The server runs with tight caps so the 413 surface is
-// reachable with small bodies.
+// status code. The 413 rows sit one past each cap: the oversized body's
+// key also breaks the codec's key bound (a 400), so the row passes only
+// if the byte cap answers first.
 func TestWireMalformed(t *testing.T) {
 	ss, _, keys := newServedShards(t, 4, 2)
-	srv := httptest.NewServer(New(ShardedBackend(ss), Options{MaxBatchBytes: 256, MaxBatchPoints: 4}))
+	srv := httptest.NewServer(New(ShardedBackend(ss), Options{}))
 	defer srv.Close()
 	key := keys[0]
 
@@ -270,8 +271,8 @@ func TestWireMalformed(t *testing.T) {
 			return b
 		}), 400},
 		{"unknown key", AppendBatchRequest(nil, "nope", testPoints()[:1]), 404},
-		{"too many points", AppendBatchRequest(nil, key, testPoints()), 413},
-		{"oversized body", AppendBatchRequest(nil, key+strings.Repeat("x", 300), nil), 413},
+		{"too many points", AppendBatchRequest(nil, key, make([]geom.Vec3, DefaultMaxBatchPoints+1)), 413},
+		{"oversized body", AppendBatchRequest(nil, key+strings.Repeat("x", DefaultMaxBatchBytes), nil), 413},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -299,7 +300,7 @@ func FuzzWireBatchDecode(f *testing.F) {
 	f.Add(trunc[:len(trunc)-5])
 	f.Fuzz(func(t *testing.T, body []byte) {
 		bb := &buffers{}
-		if err := decodeWireBatch(body, bb, DefaultMaxBatchPoints, false); err != nil {
+		if err := decodeWireBatch(body, bb, false); err != nil {
 			we, ok := err.(*wireError)
 			if !ok {
 				t.Fatalf("non-wireError %T from decode", err)
@@ -323,11 +324,11 @@ func FuzzWireBatchDecode(f *testing.F) {
 func TestWireBatchDecodeZeroAlloc(t *testing.T) {
 	bb := &buffers{}
 	body := AppendBatchRequest(nil, "AA:BB:00:00:00:01", testPoints())
-	if err := decodeWireBatch(body, bb, 16, false); err != nil {
+	if err := decodeWireBatch(body, bb, false); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		if err := decodeWireBatch(body, bb, 16, false); err != nil {
+		if err := decodeWireBatch(body, bb, false); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -335,7 +336,7 @@ func TestWireBatchDecodeZeroAlloc(t *testing.T) {
 		t.Fatalf("steady-state binary decode allocates %v/op, want 0", allocs)
 	}
 	other := AppendBatchRequest(nil, "key-b", testPoints()[:1])
-	if err := decodeWireBatch(other, bb, 16, false); err != nil {
+	if err := decodeWireBatch(other, bb, false); err != nil {
 		t.Fatal(err)
 	}
 	if bb.req.Key != "key-b" || len(bb.pts) != 1 {

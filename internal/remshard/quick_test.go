@@ -24,9 +24,9 @@ func randomVocab(rng *simrand.Source, n int) []string {
 }
 
 // TestPartitionerQuick is the routing property: for random vocabularies
-// and shard counts, every partitioner assigns each key to exactly one
-// shard — deterministically, in range — and the sharded store's
-// per-shard key lists form an exact partition of the vocabulary.
+// and shard counts, the hash and every test layout assign each key to
+// exactly one shard — deterministically, in range — and the sharded
+// store's per-shard key lists form an exact partition of the vocabulary.
 func TestPartitionerQuick(t *testing.T) {
 	rng := simrand.New(20260726)
 	for trial := 0; trial < 60; trial++ {
@@ -41,22 +41,27 @@ func TestPartitionerQuick(t *testing.T) {
 				partial[k] = rng.Intn(shards)
 			}
 		}
-		parts := map[string]Partitioner{
-			"hash":              HashByKey{},
-			"explicit":          Explicit{Assign: assign},
-			"explicit+fallback": Explicit{Assign: partial, Fallback: HashByKey{}},
-			"range": PartitionFunc(func(key string, n int) int {
+		parts := map[string]shardOfFunc{
+			"hash":     hashByKey,
+			"explicit": func(key string, _ int) int { return assign[key] },
+			"explicit+fallback": func(key string, n int) int {
+				if s, ok := partial[key]; ok {
+					return s
+				}
+				return hashByKey(key, n)
+			},
+			"range": func(key string, n int) int {
 				for i, k := range keys {
 					if k == key {
 						return i * n / len(keys)
 					}
 				}
 				return -1
-			}),
+			},
 		}
 		for name, p := range parts {
 			for _, k := range keys {
-				s1, s2 := p.Shard(k, shards), p.Shard(k, shards)
+				s1, s2 := p(k, shards), p(k, shards)
 				if s1 != s2 {
 					t.Fatalf("trial %d %s: non-deterministic routing for %q: %d then %d", trial, name, k, s1, s2)
 				}
@@ -64,7 +69,7 @@ func TestPartitionerQuick(t *testing.T) {
 					t.Fatalf("trial %d %s: key %q routed to %d of %d shards", trial, name, k, s1, shards)
 				}
 			}
-			st, err := New(keys, Config{Shards: shards, Partitioner: p, Volume: testVol, Resolution: [3]int{3, 3, 2}})
+			st, err := newStore(keys, Config{Shards: shards, Volume: testVol, Resolution: [3]int{3, 3, 2}}, p)
 			if err != nil {
 				t.Fatalf("trial %d %s: %v", trial, name, err)
 			}

@@ -1,6 +1,6 @@
 // Package remshard partitions a REM vocabulary across independent
 // remstore.Store instances — the scale-out layer above the single
-// concurrent snapshot store. A deterministic Partitioner assigns every
+// concurrent snapshot store. An FNV-1a hash of the key assigns every
 // key to exactly one shard at construction; queries route by key with
 // one atomic snapshot load on the owning shard, rebuilds rasterise and
 // publish only the shards whose keys a window dirtied (concurrently,
@@ -14,9 +14,10 @@
 // byte-identically to a single monolithic store over the same cumulative
 // data — At values, Strongest winners (vocabulary-order tie-breaks are
 // preserved across the shard merge) and the logical query count in
-// Stats — for any Partitioner and any shard count. Snapshot versions are
-// the one sharded-only observable: they are per-shard publish sequences
-// (a shard untouched since round 1 still serves version 1), where a
+// Stats — for any shard count (and, as the tests pin, for any
+// key-to-shard assignment at all). Snapshot versions are the one
+// sharded-only observable: they are per-shard publish sequences (a
+// shard untouched since round 1 still serves version 1), where a
 // monolithic store numbers every window. MergedSnapshot reassembles the
 // monolithic view (rem.Merge shares the tiles, copying nothing) and is
 // Map.Equal to the monolithic build — that identity is what the rule 8
@@ -56,8 +57,6 @@ type Config struct {
 	// shard behaves exactly like a monolithic store, which is what the
 	// equivalence tests exploit).
 	Shards int
-	// Partitioner assigns keys to shards; nil means HashByKey.
-	Partitioner Partitioner
 	// Volume is the mapped volume every shard's maps cover.
 	Volume geom.Cuboid
 	// Resolution is the grid (cells per axis) every shard's maps use.
@@ -104,18 +103,38 @@ type ShardedStore struct {
 	o *shardObs
 }
 
-// New builds a sharded store over the vocabulary. The partitioner is
-// consulted once per key; duplicate keys, invalid geometry and
-// out-of-range shard assignments are rejected. Shards that no key maps
-// to are legal (they simply never serve).
+// New builds a sharded store over the vocabulary, routing each key by
+// hashByKey. Duplicate keys and invalid geometry are rejected. Shards
+// that no key maps to are legal (they simply never serve).
 func New(keys []string, cfg Config) (*ShardedStore, error) {
+	return newStore(keys, cfg, hashByKey)
+}
+
+// hashByKey is New's routing: FNV-1a over the key bytes, reduced
+// modulo the shard count. MAC-address vocabularies spread
+// near-uniformly, with no coordination or configuration needed.
+func hashByKey(key string, shards int) int {
+	const (
+		offset32 = 2166136261
+		prime32  = 16777619
+	)
+	h := uint32(offset32)
+	for i := 0; i < len(key); i++ {
+		h ^= uint32(key[i])
+		h *= prime32
+	}
+	return int(h % uint32(shards))
+}
+
+// newStore is New with the key-to-shard assignment as a parameter:
+// shardOf is called once per key and must return a shard in
+// [0, shards). Rule 8 holds for any assignment — it only moves where a
+// key's tiles live, never what they hold — which the tests check
+// through explicit, range and empty-shard layouts.
+func newStore(keys []string, cfg Config, shardOf func(key string, shards int) int) (*ShardedStore, error) {
 	n := cfg.Shards
 	if n <= 0 {
 		n = 1
-	}
-	part := cfg.Partitioner
-	if part == nil {
-		part = HashByKey{}
 	}
 	if len(keys) == 0 {
 		return nil, errors.New("remshard: store needs at least one key")
@@ -139,10 +158,7 @@ func New(keys []string, cfg Config) (*ShardedStore, error) {
 			return nil, fmt.Errorf("remshard: duplicate key %q", k)
 		}
 		s.keyIdx[k] = gi
-		si := part.Shard(k, n)
-		if si < 0 || si >= n {
-			return nil, fmt.Errorf("remshard: partitioner routed key %q to shard %d, want [0, %d)", k, si, n)
-		}
+		si := shardOf(k, n)
 		s.shardOf[gi] = si
 		sh := s.shards[si]
 		sh.keys = append(sh.keys, k)
@@ -186,8 +202,7 @@ func (s *ShardedStore) ShardKeys(si int) []string {
 // cardinality check (ShardKeys copies the slice).
 func (s *ShardedStore) ShardLen(si int) int { return len(s.shards[si].keys) }
 
-// StoreOf exposes shard si's underlying snapshot store — history and
-// retention are managed there (e.g. StoreOf(i).SetRetention).
+// StoreOf exposes shard si's underlying snapshot store and its history.
 func (s *ShardedStore) StoreOf(si int) *remstore.Store { return s.shards[si].store }
 
 // Round reports one rebuild round.

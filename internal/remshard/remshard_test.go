@@ -72,27 +72,39 @@ func testProbes(n int) []geom.Vec3 {
 	return pts
 }
 
-// testPartitioners returns the named partitioners the equivalence tests
-// sweep: the hash default, an explicit per-key round-robin assignment
-// (which leaves shards empty when shards > len(keys)), and a
-// range-partitioning func that keeps contiguous key runs together.
-func testPartitioners(keys []string, shards int) map[string]Partitioner {
+// shardOfFunc is newStore's key-to-shard assignment.
+type shardOfFunc = func(key string, shards int) int
+
+// testLayouts returns the named key-to-shard layouts the equivalence
+// tests sweep through the newStore seam: the hash New uses, an explicit
+// per-key round-robin assignment (which leaves shards empty when
+// shards > len(keys)), and a range layout that keeps contiguous key
+// runs together.
+func testLayouts(keys []string, shards int) map[string]shardOfFunc {
 	assign := make(map[string]int, len(keys))
 	for i, k := range keys {
 		assign[k] = i % shards
 	}
-	return map[string]Partitioner{
-		"hash":     HashByKey{},
-		"explicit": Explicit{Assign: assign},
-		"range": PartitionFunc(func(key string, n int) int {
+	return map[string]shardOfFunc{
+		"hash":     hashByKey,
+		"explicit": func(key string, _ int) int { return assign[key] },
+		"range": func(key string, n int) int {
 			for i, k := range keys {
 				if k == key {
 					return i * n / len(keys)
 				}
 			}
 			return -1
-		}),
+		},
 	}
+}
+
+// pairLayout puts keys "aa:bb:00","aa:bb:01" on shard 0, the next two
+// on shard 1, and so on.
+func pairLayout(key string, _ int) int {
+	var i int
+	fmt.Sscanf(key, "aa:bb:%02d", &i)
+	return i / 2
 }
 
 // driveRound applies one dirty round to both a monolithic chain and a
@@ -106,15 +118,14 @@ type harness struct {
 	sharded *ShardedStore
 }
 
-func newHarness(t *testing.T, nKeys int, p Partitioner, shards int) *harness {
+func newHarness(t *testing.T, nKeys int, shardOf shardOfFunc, shards int) *harness {
 	t.Helper()
 	keys := testKeys(nKeys)
-	sh, err := New(keys, Config{
-		Shards:      shards,
-		Partitioner: p,
-		Volume:      testVol,
-		Resolution:  [3]int{testNX, testNY, testNZ},
-	})
+	sh, err := newStore(keys, Config{
+		Shards:     shards,
+		Volume:     testVol,
+		Resolution: [3]int{testNX, testNY, testNZ},
+	}, shardOf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +233,7 @@ func (h *harness) checkEquivalence(probes []geom.Vec3) {
 // TestShardedEquivalence is rule 8 at the remshard layer: over a round
 // sequence with localized, overlapping and DirtyAll dirty sets, every
 // query answers byte-identically to the monolithic chain — for each
-// partitioner and shard count, including shard counts above the key
+// layout and shard count, including shard counts above the key
 // count and deliberately empty shards.
 func TestShardedEquivalence(t *testing.T) {
 	const nKeys = 7
@@ -235,7 +246,7 @@ func TestShardedEquivalence(t *testing.T) {
 		{6, 0, 6, 0}, // duplicates collapse
 	}
 	for _, shards := range []int{1, 2, 4, 9} {
-		for name, p := range testPartitioners(testKeys(nKeys), shards) {
+		for name, p := range testLayouts(testKeys(nKeys), shards) {
 			t.Run(fmt.Sprintf("%s/shards=%d", name, shards), func(t *testing.T) {
 				h := newHarness(t, nKeys, p, shards)
 				for _, dirty := range rounds {
@@ -257,7 +268,7 @@ func TestShardedEquivalence(t *testing.T) {
 // monolithic store reports for the same query stream, and the aggregate
 // stats are self-consistent.
 func TestShardedQueryCounts(t *testing.T) {
-	h := newHarness(t, 5, HashByKey{}, 3)
+	h := newHarness(t, 5, hashByKey, 3)
 	h.round([]int{0, 1, 2, 3, 4})
 	probes := testProbes(9)
 	buf := make([]float64, len(probes))
@@ -311,12 +322,8 @@ func TestShardedQueryCounts(t *testing.T) {
 // sharding exists for.
 func TestShardedVersionsIndependent(t *testing.T) {
 	keys := testKeys(4)
-	// Range partitioner: keys 0,1 → shard 0; keys 2,3 → shard 1.
-	h := newHarness(t, 4, PartitionFunc(func(key string, shards int) int {
-		var i int
-		fmt.Sscanf(key, "aa:bb:%02d", &i)
-		return i / 2
-	}), 2)
+	// Keys 0,1 → shard 0; keys 2,3 → shard 1.
+	h := newHarness(t, 4, pairLayout, 2)
 	h.round([]int{0, 1, 2, 3})
 	r := h.round([]int{1}) // dirties shard 0 only
 	if r.AffectedShards != 1 || r.Versions[0] != 2 || r.Versions[1] != 0 {
@@ -341,11 +348,7 @@ func TestShardedVersionsIndependent(t *testing.T) {
 // TestShardedUnbuiltShardFullBuilds: dirtying one key of a shard that
 // has never published full-builds that shard.
 func TestShardedUnbuiltShardFullBuilds(t *testing.T) {
-	h := newHarness(t, 4, PartitionFunc(func(key string, shards int) int {
-		var i int
-		fmt.Sscanf(key, "aa:bb:%02d", &i)
-		return i / 2
-	}), 2)
+	h := newHarness(t, 4, pairLayout, 2)
 	h.model.touch([]int{0})
 	r, err := h.sharded.Rebuild([]int{0}, h.model.predict, rem.BuildOptions{Workers: 1})
 	if err != nil {
@@ -370,7 +373,7 @@ func TestShardedUnbuiltShardFullBuilds(t *testing.T) {
 
 // TestShardedEmpty: queries against a store that has never rebuilt.
 func TestShardedEmpty(t *testing.T) {
-	h := newHarness(t, 3, HashByKey{}, 2)
+	h := newHarness(t, 3, hashByKey, 2)
 	if _, _, err := h.sharded.At(h.keys[0], geom.V(1, 1, 1)); !errors.Is(err, remstore.ErrEmpty) {
 		t.Fatalf("At = %v, want ErrEmpty", err)
 	}
@@ -402,15 +405,6 @@ func TestShardedValidation(t *testing.T) {
 	bad.Resolution = [3]int{0, 4, 2}
 	if _, err := New(keys, bad); err == nil {
 		t.Fatal("invalid resolution accepted")
-	}
-	// Partitioner routing out of range (Explicit without fallback).
-	if _, err := New(keys, Config{Shards: 2, Partitioner: Explicit{Assign: map[string]int{keys[0]: 0}},
-		Volume: testVol, Resolution: [3]int{4, 4, 2}}); err == nil {
-		t.Fatal("unassigned key accepted")
-	}
-	if _, err := New(keys, Config{Shards: 2, Partitioner: PartitionFunc(func(string, int) int { return 7 }),
-		Volume: testVol, Resolution: [3]int{4, 4, 2}}); err == nil {
-		t.Fatal("out-of-range assignment accepted")
 	}
 	st, err := New(keys, good)
 	if err != nil {
@@ -465,7 +459,7 @@ func TestShardedValidation(t *testing.T) {
 // view that was serving when the vector was captured — as long as every
 // constituent shard snapshot is still retained.
 func TestMergedSnapshotAt(t *testing.T) {
-	h := newHarness(t, 9, HashByKey{}, 3)
+	h := newHarness(t, 9, hashByKey, 3)
 	type gen struct {
 		versions []uint64
 		m        *rem.Map

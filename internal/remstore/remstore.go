@@ -4,13 +4,12 @@
 // from a window of new observations); readers resolve the current
 // snapshot with a single atomic pointer load and query it lock-free, so a
 // rebuild never blocks a query and a query never observes a half-built
-// map. The store keeps a bounded history of recent snapshots (useful for
-// delta inspection and for readers pinned to an old generation) under a
-// configurable retention policy (max count and max age, see
-// SetRetention), and per-snapshot build/query counters. The hot counters
-// are cache-line padded (parallel.PaddedUint64) so concurrent readers
-// bumping them do not invalidate each other's lines — and, in a sharded
-// deployment, so two stores' counters never share a line.
+// map. The store keeps a history of recent snapshots (useful for delta
+// inspection and for readers pinned to an old generation), bounded by
+// the count New takes, and per-snapshot build/query counters. The hot
+// counters are cache-line padded (parallel.PaddedUint64) so concurrent
+// readers bumping them do not invalidate each other's lines — and, in a
+// sharded deployment, so two stores' counters never share a line.
 package remstore
 
 import (
@@ -59,8 +58,7 @@ func (s *Snapshot) Map() *rem.Map { return s.m }
 // publishes either way.
 func (s *Snapshot) Version() uint64 { return s.version }
 
-// PublishedAt returns when the snapshot was published (the store clock;
-// wall time outside tests). Age-based retention evicts against it.
+// PublishedAt returns the wall-clock time of the publish.
 func (s *Snapshot) PublishedAt() time.Time { return s.publishedAt }
 
 // Queries returns how many queries this snapshot has served.
@@ -73,32 +71,18 @@ func (s *Snapshot) BuildStats() (builtKeys, sharedTiles int) {
 	return s.builtKeys, s.sharedTiles
 }
 
-// Retention is the snapshot history policy. The serving snapshot is
-// never evicted, whatever the bounds say.
-type Retention struct {
-	// MaxCount bounds the retained snapshots, serving one included;
-	// ≤ 0 keeps the store's current count bound unchanged.
-	MaxCount int
-	// MaxAge evicts snapshots published longer than this ago; ≤ 0
-	// disables age-based eviction.
-	MaxAge time.Duration
-}
-
 // Store is the concurrent snapshot store. Publish swaps the current
 // snapshot atomically; Current and the query helpers are lock-free. The
 // zero value is not usable; call New.
 type Store struct {
 	cur atomic.Pointer[Snapshot]
 
-	// mu serialises publishers and guards history/retention; readers
-	// never take it.
-	mu        sync.Mutex
-	history   []*Snapshot
-	retain    Retention
-	evictions uint64
-	// now is the store clock — time.Now outside tests, injectable so
-	// age-based retention is testable without sleeping.
-	now func() time.Time
+	// mu serialises publishers and guards the history; readers never
+	// take it.
+	mu         sync.Mutex
+	history    []*Snapshot
+	maxHistory int
+	evictions  uint64
 
 	// o is the attached instrument set (observe.go); nil means
 	// uninstrumented. Guarded by mu: written once by SetObserver, read
@@ -113,46 +97,14 @@ type Store struct {
 	queries   parallel.PaddedUint64
 }
 
-// New returns an empty store keeping at most maxHistory snapshots
-// (≤ 0 means DefaultMaxHistory). Use SetRetention to add an age bound
-// or change the count bound later.
+// New returns an empty store keeping at most maxHistory snapshots,
+// serving one included (≤ 0 means DefaultMaxHistory). Older snapshots
+// are evicted oldest first at publish.
 func New(maxHistory int) *Store {
 	if maxHistory <= 0 {
 		maxHistory = DefaultMaxHistory
 	}
-	return &Store{retain: Retention{MaxCount: maxHistory}, now: time.Now}
-}
-
-// SetRetention updates the history policy and prunes immediately.
-// A non-positive MaxCount leaves the count bound unchanged; a
-// non-positive MaxAge disables age eviction.
-func (st *Store) SetRetention(r Retention) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if r.MaxCount > 0 {
-		st.retain.MaxCount = r.MaxCount
-	}
-	st.retain.MaxAge = r.MaxAge
-	st.pruneLocked(st.now())
-}
-
-// pruneLocked applies the retention policy to the history front (the
-// oldest snapshots). The serving snapshot — always the last history
-// entry — survives both bounds.
-func (st *Store) pruneLocked(now time.Time) {
-	for len(st.history) > st.retain.MaxCount {
-		st.history[0] = nil
-		st.history = st.history[1:]
-		st.evictions++
-	}
-	if st.retain.MaxAge > 0 {
-		cutoff := now.Add(-st.retain.MaxAge)
-		for len(st.history) > 1 && st.history[0].publishedAt.Before(cutoff) {
-			st.history[0] = nil
-			st.history = st.history[1:]
-			st.evictions++
-		}
-	}
+	return &Store{maxHistory: maxHistory}
 }
 
 // Publish makes m the current snapshot and returns it. builtKeys records
@@ -228,13 +180,17 @@ func (st *Store) publish(m *rem.Map, builtKeys int, version uint64) (*Snapshot, 
 	t0 := time.Now()
 	m.BuildCoverIndex()
 	indexD := time.Since(t0)
-	s := &Snapshot{m: m, version: version, publishedAt: st.now(), builtKeys: builtKeys}
+	s := &Snapshot{m: m, version: version, publishedAt: time.Now(), builtKeys: builtKeys}
 	if prev != nil {
 		s.sharedTiles = m.SharedTiles(prev.m)
 	}
 	st.history = append(st.history, s)
 	st.cur.Store(s)
-	st.pruneLocked(s.publishedAt)
+	for len(st.history) > st.maxHistory {
+		st.history[0] = nil
+		st.history = st.history[1:]
+		st.evictions++
+	}
 	st.observePublish(s, time.Since(start), indexD)
 	return s, nil
 }

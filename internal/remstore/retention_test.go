@@ -4,20 +4,10 @@ import (
 	"math"
 	"runtime"
 	"testing"
-	"time"
 
 	"repro/internal/geom"
 	"repro/internal/rem"
 )
-
-// fakeClock drives the store's injectable clock so age-based retention
-// is testable without sleeping.
-type fakeClock struct{ t time.Time }
-
-func (c *fakeClock) now() time.Time            { return c.t }
-func (c *fakeClock) advance(d time.Duration)   { c.t = c.t.Add(d) }
-func newFakeClock() *fakeClock                 { return &fakeClock{t: time.Unix(1_000_000, 0)} }
-func withClock(st *Store, c *fakeClock) *Store { st.now = c.now; return st }
 
 // rebuildOne derives the next generation with exactly one dirty key whose
 // cells all hold v.
@@ -36,75 +26,23 @@ func rebuildOne(t *testing.T, m *rem.Map, key int, v float64) *rem.Map {
 	return next
 }
 
-// TestRetentionMaxCount: SetRetention tightens the count bound and
-// prunes immediately, oldest first.
+// TestRetentionMaxCount: the count bound New sets prunes at publish,
+// oldest first, and counts every eviction.
 func TestRetentionMaxCount(t *testing.T) {
-	st := New(8)
+	st := New(2)
 	keys := []string{"a", "b", "c"}
 	for g := 1; g <= 5; g++ {
 		if _, err := st.Publish(constMap(t, float64(-g), keys), len(keys)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := st.Stats().HistoryLen; got != 5 {
-		t.Fatalf("history = %d, want 5", got)
-	}
-	st.SetRetention(Retention{MaxCount: 2})
 	stats := st.Stats()
 	if stats.HistoryLen != 2 || stats.Evictions != 3 {
-		t.Fatalf("after SetRetention: history = %d evictions = %d, want 2 / 3", stats.HistoryLen, stats.Evictions)
+		t.Fatalf("history = %d evictions = %d, want 2 / 3", stats.HistoryLen, stats.Evictions)
 	}
 	h := st.History()
 	if h[0].Version() != 4 || h[1].Version() != 5 {
 		t.Fatalf("retained versions = %d, %d; want 4, 5", h[0].Version(), h[1].Version())
-	}
-	// MaxCount ≤ 0 leaves the bound unchanged.
-	st.SetRetention(Retention{})
-	if _, err := st.Publish(constMap(t, -6, keys), len(keys)); err != nil {
-		t.Fatal(err)
-	}
-	if got := st.Stats().HistoryLen; got != 2 {
-		t.Fatalf("count bound not preserved: history = %d", got)
-	}
-}
-
-// TestRetentionMaxAge: snapshots older than MaxAge are evicted at the
-// next publish (or SetRetention), but the serving snapshot survives any
-// age.
-func TestRetentionMaxAge(t *testing.T) {
-	clock := newFakeClock()
-	st := withClock(New(10), clock)
-	keys := []string{"a", "b"}
-	st.SetRetention(Retention{MaxAge: time.Minute})
-	for g := 1; g <= 3; g++ {
-		if _, err := st.Publish(constMap(t, float64(-g), keys), len(keys)); err != nil {
-			t.Fatal(err)
-		}
-		clock.advance(20 * time.Second)
-	}
-	// t = 60 s: v1 (published at 0 s) is exactly at the cutoff —
-	// eviction needs strictly-older — so everything is still retained.
-	st.SetRetention(Retention{MaxAge: time.Minute})
-	if got := st.Stats().HistoryLen; got != 3 {
-		t.Fatalf("history at cutoff = %d, want 3", got)
-	}
-	clock.advance(30 * time.Second) // t = 90 s: v1 (0 s) and v2 (20 s) are stale
-	if _, err := st.Publish(constMap(t, -4, keys), len(keys)); err != nil {
-		t.Fatal(err)
-	}
-	stats := st.Stats()
-	if stats.HistoryLen != 2 || stats.Evictions != 2 {
-		t.Fatalf("after stale publish: history = %d evictions = %d, want 2 / 2", stats.HistoryLen, stats.Evictions)
-	}
-	// Let everything age out: the serving snapshot must survive.
-	clock.advance(time.Hour)
-	st.SetRetention(Retention{MaxAge: time.Minute})
-	stats = st.Stats()
-	if stats.HistoryLen != 1 || stats.CurrentVersion != 4 {
-		t.Fatalf("serving snapshot evicted: %+v", stats)
-	}
-	if cur := st.Current(); cur == nil || cur.Version() != 4 {
-		t.Fatal("Current() lost after age pruning")
 	}
 }
 
@@ -113,7 +51,7 @@ func TestRetentionMaxAge(t *testing.T) {
 // parents) stay readable bit-for-bit — and LiveTiles accounts the
 // distinct tiles the retained suffix actually references.
 func TestRetentionLiveness(t *testing.T) {
-	st := New(10)
+	st := New(2)
 	keys := []string{"a", "b", "c", "d"}
 	m1 := constMap(t, -1, keys)
 	if _, err := st.Publish(m1, len(keys)); err != nil {
@@ -123,15 +61,11 @@ func TestRetentionLiveness(t *testing.T) {
 	if _, err := st.Publish(m2, 1); err != nil {
 		t.Fatal(err)
 	}
-	m3 := rebuildOne(t, m2, 2, -3) // shares 3 of 4 keys' tiles with m2
-	if _, err := st.Publish(m3, 1); err != nil {
-		t.Fatal(err)
-	}
 	tpk := m1.TilesPerKey()
 	total := m1.NumTiles()
-	// Live now: m1's full set + 1 rebuilt key per derivation.
-	if got := st.LiveTiles(); got != total+2*tpk {
-		t.Fatalf("LiveTiles = %d, want %d", got, total+2*tpk)
+	// Live now: m1's full set + m2's rebuilt key.
+	if got := st.LiveTiles(); got != total+tpk {
+		t.Fatalf("LiveTiles = %d, want %d", got, total+tpk)
 	}
 
 	// Capture m2's exact answers while its whole chain is retained.
@@ -145,9 +79,12 @@ func TestRetentionLiveness(t *testing.T) {
 		want[i] = v
 	}
 
-	// Evict m1 — the parent m2 shares tiles with — and force a GC so a
-	// wrongly-released tile would be visibly recycled.
-	st.SetRetention(Retention{MaxCount: 2})
+	// Publishing m3 evicts m1 — the parent m2 shares tiles with — then
+	// a forced GC would visibly recycle a wrongly-released tile.
+	m3 := rebuildOne(t, m2, 2, -3) // shares 3 of 4 keys' tiles with m2
+	if _, err := st.Publish(m3, 1); err != nil {
+		t.Fatal(err)
+	}
 	if got := st.Stats().HistoryLen; got != 2 {
 		t.Fatalf("history = %d, want 2", got)
 	}

@@ -11,9 +11,10 @@ import (
 // previously only escaped inside 429 FullError responses — depth and
 // the EWMA-drain Retry-After estimate — as gauges, plus rejected-batch
 // counters split by cause; the log times appends, the fsync inside
-// them, and replay. Instruments attach via SetObserver (or
-// Config.Observer for the log, so replay itself is measured); nil is
-// the opt-out and costs one pointer load per operation.
+// them, and replay, and flags the first error that poisons it.
+// Instruments attach via Queue.SetObserver and Config.Observer (for the
+// log, so replay itself is measured); nil is the opt-out and costs one
+// pointer load per operation.
 
 // queueObs is the queue's instrument set.
 type queueObs struct {
@@ -73,10 +74,10 @@ type logObs struct {
 	replayed   *remobs.Counter
 }
 
-// SetObserver registers the log's metrics. Open wires Config.Observer
+// setObserver registers the log's metrics. Open wires Config.Observer
 // through here before replay so the replay histogram sees the
-// recovery pass; attaching later just misses it.
-func (l *Log) SetObserver(obs *remobs.Observer) {
+// recovery pass.
+func (l *Log) setObserver(obs *remobs.Observer) {
 	if obs == nil || obs.Registry == nil {
 		return
 	}
@@ -94,9 +95,14 @@ func (l *Log) SetObserver(obs *remobs.Observer) {
 	}
 	reg.GaugeFunc("rem_wal_next_seq", "next WAL sequence number to be assigned",
 		func() float64 { return float64(l.NextSeq()) })
-	l.mu.Lock()
+	reg.GaugeFunc("rem_wal_failed", "1 once a write, fsync or rotation error has poisoned the WAL (until reopen), else 0",
+		func() float64 {
+			if l.Err() != nil {
+				return 1
+			}
+			return 0
+		})
 	l.o = o
-	l.mu.Unlock()
 }
 
 // observeAppend records one durable append. Called under l.mu.

@@ -92,8 +92,7 @@ type Config struct {
 	SegmentBytes int64
 	// Observer attaches the observability layer before replay runs, so
 	// the recovery pass itself lands in the replay histogram and event
-	// ring. nil leaves the log uninstrumented (SetObserver can still
-	// attach later, missing only the replay).
+	// ring. nil leaves the log uninstrumented.
 	Observer *remobs.Observer
 }
 
@@ -144,8 +143,8 @@ type Log struct {
 	// tail) recovers.
 	err error
 	// o is the attached instrument set (observe.go); nil means
-	// uninstrumented. Written under mu by SetObserver, read under mu on
-	// the append path.
+	// uninstrumented. Written by Open before any append, read under mu
+	// on the append path.
 	o *logObs
 }
 
@@ -164,7 +163,7 @@ func Open(cfg Config) (*Log, []Record, error) {
 		return nil, nil, err
 	}
 	l := &Log{dir: cfg.Dir, sync: cfg.Sync, segBytes: cfg.SegmentBytes}
-	l.SetObserver(cfg.Observer)
+	l.setObserver(cfg.Observer)
 	replayStart := time.Now()
 	recs, err := l.replay()
 	if err != nil {
@@ -423,10 +422,23 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 	return seq, nil
 }
 
-// fail poisons the log with err (see Log.err) and returns it.
+// fail poisons the log with err (see Log.err), records the one
+// wal-failed event, and returns err. Called under l.mu, at most once:
+// a poisoned log returns before reaching any write.
 func (l *Log) fail(err error) error {
 	l.err = err
+	if l.o != nil {
+		l.o.obs.Event("wal-failed", "next_seq=%d err=%v", l.nextSeq, err)
+	}
 	return err
+}
+
+// Err returns the error that poisoned the log, or nil while it is
+// healthy.
+func (l *Log) Err() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.err
 }
 
 // rotateLocked seals the active segment and starts the next one. The
