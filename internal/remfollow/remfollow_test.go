@@ -342,6 +342,43 @@ func get(t testing.TB, url string) (int, http.Header, []byte) {
 	return r.StatusCode, r.Header, body
 }
 
+// deadlineProbe sits in front of a FaultTransport. While armed it
+// records the deadline the next request carries (zero if none) and
+// hands that request on with the deadline cut to a few milliseconds, so
+// a FaultTimeout expires at once yet the deadline the follower set
+// itself stays observable.
+type deadlineProbe struct {
+	inner    http.RoundTripper
+	armed    atomic.Bool
+	deadline time.Time
+}
+
+func (p *deadlineProbe) RoundTrip(req *http.Request) (*http.Response, error) {
+	if !p.armed.CompareAndSwap(true, false) {
+		return p.inner.RoundTrip(req)
+	}
+	p.deadline, _ = req.Context().Deadline()
+	ctx, cancel := context.WithTimeout(req.Context(), 50*time.Millisecond)
+	resp, err := p.inner.RoundTrip(req.WithContext(ctx))
+	if err != nil {
+		cancel()
+		return nil, err
+	}
+	resp.Body = cancelOnClose{resp.Body, cancel}
+	return resp, nil
+}
+
+// cancelOnClose releases a request context once its body is closed.
+type cancelOnClose struct {
+	io.ReadCloser
+	cancel context.CancelFunc
+}
+
+func (b cancelOnClose) Close() error {
+	defer b.cancel()
+	return b.ReadCloser.Close()
+}
+
 // TestFaultMatrix drives every fault class through a sync and checks
 // the two robustness invariants: the fault never changes what the
 // follower serves (still some real leader generation), and once the
@@ -367,7 +404,10 @@ func TestFaultMatrix(t *testing.T) {
 			h := newLeader(t, 6, 2)
 			h.round()
 			ft := &FaultTransport{}
-			f := newFollower(t, h, ft, nil)
+			probe := &deadlineProbe{inner: ft}
+			f := newFollower(t, h, ft, func(c *Config) {
+				c.Client = &http.Client{Transport: probe}
+			})
 			ctx := context.Background()
 			if err := f.SyncOnce(ctx); err != nil {
 				t.Fatal(err)
@@ -380,13 +420,19 @@ func TestFaultMatrix(t *testing.T) {
 			h.round()
 			if tc.wantErr {
 				ft.Extend(tc.step)
-				// A short deadline stands in for DefaultTimeout, so the
-				// timeout fault expires in milliseconds.
-				fctx, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
-				err := f.SyncOnce(fctx)
-				cancel()
+				probe.armed.Store(true)
+				start := time.Now()
+				err := f.SyncOnce(ctx)
+				end := time.Now()
 				if err == nil {
 					t.Fatal("faulted sync reported success")
+				}
+				// The caller's context has no deadline: the request's
+				// must be the follower's own DefaultTimeout, the only
+				// bound on a leader that hangs.
+				d := probe.deadline
+				if d.IsZero() || d.Before(start.Add(DefaultTimeout)) || d.After(end.Add(DefaultTimeout)) {
+					t.Fatalf("request deadline %v, want DefaultTimeout (%v) after the sync started", d, DefaultTimeout)
 				}
 				if !bytes.Equal(followerBytes(t, f), before) {
 					t.Fatal("failed sync changed the serving generation")

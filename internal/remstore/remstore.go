@@ -36,9 +36,8 @@ var ErrEmpty = errors.New("remstore: no snapshot published")
 // Snapshot is one published, immutable REM generation together with its
 // serving counters. All methods are safe for concurrent use.
 type Snapshot struct {
-	m           *rem.Map
-	version     uint64
-	publishedAt time.Time
+	m       *rem.Map
+	version uint64
 	// Build provenance: how many keys the publisher re-rasterised for
 	// this generation and how many tiles it shares with its predecessor.
 	builtKeys   int
@@ -57,9 +56,6 @@ func (s *Snapshot) Map() *rem.Map { return s.m }
 // chose one explicitly via PublishAt. Strictly increasing across
 // publishes either way.
 func (s *Snapshot) Version() uint64 { return s.version }
-
-// PublishedAt returns the wall-clock time of the publish.
-func (s *Snapshot) PublishedAt() time.Time { return s.publishedAt }
 
 // Queries returns how many queries this snapshot has served.
 func (s *Snapshot) Queries() uint64 { return s.queries.Load() }
@@ -180,7 +176,7 @@ func (st *Store) publish(m *rem.Map, builtKeys int, version uint64) (*Snapshot, 
 	t0 := time.Now()
 	m.BuildCoverIndex()
 	indexD := time.Since(t0)
-	s := &Snapshot{m: m, version: version, publishedAt: time.Now(), builtKeys: builtKeys}
+	s := &Snapshot{m: m, version: version, builtKeys: builtKeys}
 	if prev != nil {
 		s.sharedTiles = m.SharedTiles(prev.m)
 	}

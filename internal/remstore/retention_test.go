@@ -51,7 +51,7 @@ func TestRetentionMaxCount(t *testing.T) {
 // parents) stay readable bit-for-bit — and LiveTiles accounts the
 // distinct tiles the retained suffix actually references.
 func TestRetentionLiveness(t *testing.T) {
-	st := New(2)
+	st := New(3)
 	keys := []string{"a", "b", "c", "d"}
 	m1 := constMap(t, -1, keys)
 	if _, err := st.Publish(m1, len(keys)); err != nil {
@@ -61,11 +61,15 @@ func TestRetentionLiveness(t *testing.T) {
 	if _, err := st.Publish(m2, 1); err != nil {
 		t.Fatal(err)
 	}
+	m3 := rebuildOne(t, m2, 2, -3) // shares 3 of 4 keys' tiles with m2
+	if _, err := st.Publish(m3, 1); err != nil {
+		t.Fatal(err)
+	}
 	tpk := m1.TilesPerKey()
 	total := m1.NumTiles()
-	// Live now: m1's full set + m2's rebuilt key.
-	if got := st.LiveTiles(); got != total+tpk {
-		t.Fatalf("LiveTiles = %d, want %d", got, total+tpk)
+	// Live now: m1's full set + 1 rebuilt key per derivation.
+	if got := st.LiveTiles(); got != total+2*tpk {
+		t.Fatalf("LiveTiles = %d, want %d", got, total+2*tpk)
 	}
 
 	// Capture m2's exact answers while its whole chain is retained.
@@ -79,14 +83,14 @@ func TestRetentionLiveness(t *testing.T) {
 		want[i] = v
 	}
 
-	// Publishing m3 evicts m1 — the parent m2 shares tiles with — then
+	// Publishing m4 evicts m1 — the parent m2 shares tiles with — then
 	// a forced GC would visibly recycle a wrongly-released tile.
-	m3 := rebuildOne(t, m2, 2, -3) // shares 3 of 4 keys' tiles with m2
-	if _, err := st.Publish(m3, 1); err != nil {
+	m4 := rebuildOne(t, m3, 3, -4) // shares 3 of 4 keys' tiles with m3
+	if _, err := st.Publish(m4, 1); err != nil {
 		t.Fatal(err)
 	}
-	if got := st.Stats().HistoryLen; got != 2 {
-		t.Fatalf("history = %d, want 2", got)
+	if got := st.Stats().HistoryLen; got != 3 {
+		t.Fatalf("history = %d, want 3", got)
 	}
 	runtime.GC()
 	for i, k := range keys {
@@ -98,12 +102,13 @@ func TestRetentionLiveness(t *testing.T) {
 			t.Fatalf("key %s changed after eviction: %v != %v", k, v, want[i])
 		}
 	}
-	// Sharing between the retained pair is untouched by the eviction.
+	// Sharing between the retained generations is untouched by the eviction.
 	if got := m3.SharedTiles(m2); got != total-tpk {
 		t.Fatalf("SharedTiles(m3, m2) = %d, want %d", got, total-tpk)
 	}
-	// The retained suffix references m2's full set plus m3's rebuilt key.
-	if got := st.LiveTiles(); got != total+tpk {
-		t.Fatalf("LiveTiles after eviction = %d, want %d", got, total+tpk)
+	// The retained suffix references m2's full set plus the rebuilt key
+	// of each of m3 and m4.
+	if got := st.LiveTiles(); got != total+2*tpk {
+		t.Fatalf("LiveTiles after eviction = %d, want %d", got, total+2*tpk)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"testing"
+	"time"
 )
 
 // errInjected is the fault the wrapped segment file reports.
@@ -77,6 +78,20 @@ func checkPoisoned(t *testing.T, l *Log, acked *[][]byte, first error) {
 			t.Errorf("sync %d after the fault returned %v, want the original error %v", i, err, first)
 		}
 	}
+	// Err reports it too, without waiting on the append lock: a health
+	// probe must not queue behind an in-flight fsync.
+	l.mu.Lock()
+	errc := make(chan error, 1)
+	go func() { errc <- l.Err() }()
+	select {
+	case err := <-errc:
+		if err != first {
+			t.Errorf("Err() = %v, want the original error %v", err, first)
+		}
+	case <-time.After(2 * time.Second):
+		t.Error("Err blocked on the append lock")
+	}
+	l.mu.Unlock()
 }
 
 // checkReplay closes l, reopens its directory and asserts that replay

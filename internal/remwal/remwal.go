@@ -41,6 +41,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/rem"
@@ -140,8 +141,10 @@ type Log struct {
 	// log: the file offset may sit past a torn frame and a failed fsync
 	// may have dropped dirty pages, so nothing appended after it could be
 	// trusted to replay. Only reopen + replay (which truncates a torn
-	// tail) recovers.
-	err error
+	// tail) recovers. Written under mu by fail; read lock-free by Err,
+	// so /healthz and the rem_wal_failed gauge never queue behind an
+	// append's fsync.
+	err atomic.Pointer[error]
 	// o is the attached instrument set (observe.go); nil means
 	// uninstrumented. Written by Open before any append, read under mu
 	// on the append path.
@@ -377,8 +380,8 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 	if l.closed {
 		return 0, ErrLogClosed
 	}
-	if l.err != nil {
-		return 0, l.err
+	if err := l.Err(); err != nil {
+		return 0, err
 	}
 	if len(payload) > maxRecordLen {
 		return 0, fmt.Errorf("remwal: record of %d bytes exceeds the %d-byte bound", len(payload), maxRecordLen)
@@ -426,7 +429,7 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 // wal-failed event, and returns err. Called under l.mu, at most once:
 // a poisoned log returns before reaching any write.
 func (l *Log) fail(err error) error {
-	l.err = err
+	l.err.Store(&err)
 	if l.o != nil {
 		l.o.obs.Event("wal-failed", "next_seq=%d err=%v", l.nextSeq, err)
 	}
@@ -434,11 +437,12 @@ func (l *Log) fail(err error) error {
 }
 
 // Err returns the error that poisoned the log, or nil while it is
-// healthy.
+// healthy. It never waits on an in-flight append.
 func (l *Log) Err() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.err
+	if p := l.err.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 // rotateLocked seals the active segment and starts the next one. The
@@ -463,8 +467,8 @@ func (l *Log) Sync() error {
 	if l.closed {
 		return ErrLogClosed
 	}
-	if l.err != nil {
-		return l.err
+	if err := l.Err(); err != nil {
+		return err
 	}
 	if err := l.f.Sync(); err != nil {
 		return l.fail(err)
@@ -483,9 +487,9 @@ func (l *Log) Close() error {
 		return nil
 	}
 	l.closed = true
-	if l.err != nil {
+	if err := l.Err(); err != nil {
 		l.f.Close()
-		return l.err
+		return err
 	}
 	if err := l.f.Sync(); err != nil {
 		l.f.Close()
