@@ -349,9 +349,12 @@ func BenchmarkBuildMapParallel(b *testing.B) { benchmarkBuildMap(b, 0) }
 
 // benchStreamEstimator fits the per-MAC kNN (the streaming default) on a
 // paper-scale synthetic set over nKeys MACs.
-func benchStreamEstimator(b *testing.B, nKeys int) *knn.PerKey {
+func benchStreamEstimator(b *testing.B, nKeys int) ml.Estimator {
 	b.Helper()
-	p := &knn.PerKey{Sub: knn.PaperPlainConfig(), KeyOffset: 3}
+	p, err := core.DefaultStreamSpec().Build()
+	if err != nil {
+		b.Fatal(err)
+	}
 	x, y := benchTrainingSet(nKeys)
 	if err := p.Fit(x, y); err != nil {
 		b.Fatal(err)

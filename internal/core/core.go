@@ -33,7 +33,7 @@ type EstimatorSpec struct {
 
 // PaperEstimators returns the estimator suite of the paper's Figure 8: the
 // per-MAC-mean baseline, the plain tuned kNN, the scaled-one-hot kNN (the
-// paper's best), the per-MAC kNN ensemble, and the tuned neural network.
+// paper's best), the per-MAC kNN, and the tuned neural network.
 func PaperEstimators(seed uint64) []EstimatorSpec {
 	plain := dataset.FeatureOptions{OneHotMACScale: 1}
 	scaled := dataset.FeatureOptions{OneHotMACScale: 3}
@@ -41,7 +41,7 @@ func PaperEstimators(seed uint64) []EstimatorSpec {
 		{
 			Name:     "baseline mean-per-MAC",
 			Features: plain,
-			Build:    func() (ml.Estimator, error) { return &baseline.MeanPerKey{KeyOffset: 3}, nil },
+			Build:    perMAC(func() (ml.Estimator, error) { return &baseline.GlobalMean{}, nil }),
 		},
 		{
 			Name:     "kNN k=3 distance-weighted",
@@ -53,19 +53,19 @@ func PaperEstimators(seed uint64) []EstimatorSpec {
 			Features: scaled,
 			Build:    func() (ml.Estimator, error) { return knn.New(knn.PaperScaledConfig()) },
 		},
-		{
-			Name:     "per-MAC kNN",
-			Features: plain,
-			Build: func() (ml.Estimator, error) {
-				return &knn.PerKey{Sub: knn.PaperPlainConfig(), KeyOffset: 3}, nil
-			},
-		},
+		DefaultStreamSpec(), // the per-MAC kNN
 		{
 			Name:     "NN 16-node sigmoid Adam",
 			Features: plain,
 			Build:    func() (ml.Estimator, error) { return nn.New(nn.PaperConfig(seed)) },
 		},
 	}
+}
+
+// perMAC builds the per-MAC router (ml.PerKey) over sub: one sub-model
+// per MAC, each trained on its own MAC's samples.
+func perMAC(sub func() (ml.Estimator, error)) func() (ml.Estimator, error) {
+	return func() (ml.Estimator, error) { return &ml.PerKey{Sub: sub}, nil }
 }
 
 // ExtendedEstimators appends the geostatistical interpolators this
@@ -77,22 +77,12 @@ func ExtendedEstimators(seed uint64) []EstimatorSpec {
 		{
 			Name:     "per-MAC IDW p=2",
 			Features: plain,
-			Build: func() (ml.Estimator, error) {
-				return &ml.PerKeyEnsemble{
-					Factory:   func() ml.Estimator { return &rem.IDW{Power: 2, Smoothing: 0.05} },
-					KeyOffset: 3,
-				}, nil
-			},
+			Build:    perMAC(func() (ml.Estimator, error) { return &rem.IDW{Power: 2, Smoothing: 0.05}, nil }),
 		},
 		{
 			Name:     "per-MAC ordinary kriging",
 			Features: plain,
-			Build: func() (ml.Estimator, error) {
-				return &ml.PerKeyEnsemble{
-					Factory:   func() ml.Estimator { return &rem.Kriging{Nugget: -1} },
-					KeyOffset: 3,
-				}, nil
-			},
+			Build:    perMAC(func() (ml.Estimator, error) { return &rem.Kriging{Nugget: -1}, nil }),
 		},
 	}
 	return append(PaperEstimators(seed), extra...)
@@ -290,14 +280,14 @@ func buildREM(cfg Config, pre *dataset.Preprocessed, spec EstimatorSpec) (*rem.M
 // rasterisation callers (the pipeline, the streaming loop, examples,
 // benchmarks) share it rather than re-encoding by hand. Estimators with
 // a batch path (kNN, NN) answer the whole run in one PredictBatch call.
-// A keyed estimator (knn.PerKey) whose one-hot block sits where this
-// layout puts it answers the run's bare xyz positions instead, so no
+// The per-MAC router (ml.PerKey), under an encoding that carries the
+// one-hot block, answers the run's bare xyz positions instead, so no
 // one-hot rows are built; every other estimator or encoding takes the
 // row path.
 func BatchPredictorFor(est ml.Estimator, dim int, scale float64) rem.BatchPredictFunc {
 	if pk, ok := keyedPath(est, scale); ok {
 		return func(centers []geom.Vec3, keyIdx int) ([]float64, error) {
-			return pk.PredictKeyed(designRows(centers, keyIdx, 3, 0), keyIdx)
+			return pk.PredictKeyed(designRows(centers, keyIdx, ml.KeyOffset, 0), keyIdx)
 		}
 	}
 	return func(centers []geom.Vec3, keyIdx int) ([]float64, error) {
@@ -306,17 +296,17 @@ func BatchPredictorFor(est ml.Estimator, dim int, scale float64) rem.BatchPredic
 }
 
 // keyedPath reports whether est can skip the one-hot rows: it must be
-// the per-MAC kNN (the one estimator with a keyed batch path), and the
-// encoding must carry the one-hot block (scale != 0) at the column the
-// estimator routes by — designRows puts it at 3.
-func keyedPath(est ml.Estimator, scale float64) (*knn.PerKey, bool) {
-	pk, ok := est.(*knn.PerKey)
-	return pk, ok && scale != 0 && pk.KeyOffset == 3
+// the per-MAC router (the one estimator with a keyed batch path), and
+// the encoding must carry the one-hot block (scale != 0), which
+// designRows puts at ml.KeyOffset, the column the router reads.
+func keyedPath(est ml.Estimator, scale float64) (*ml.PerKey, bool) {
+	pk, ok := est.(*ml.PerKey)
+	return pk, ok && scale != 0
 }
 
 // designRows encodes positions of key keyIdx as this pipeline's feature
 // rows — dim wide, the position at columns 0..2 and the one-hot MAC
-// block (scaled by scale; 0 omits it) at offset 3. It is the single
+// block (scaled by scale; 0 omits it) at ml.KeyOffset. It is the single
 // owner of that layout: rasterisation queries (BatchPredictorFor) and
 // ingested observations (RunIngest) both encode through it. The rows
 // share one flat backing array instead of one allocation each, capped
@@ -328,7 +318,7 @@ func designRows(pts []geom.Vec3, keyIdx, dim int, scale float64) [][]float64 {
 		r := flat[i*dim : (i+1)*dim : (i+1)*dim]
 		r[0], r[1], r[2] = p.X, p.Y, p.Z
 		if scale != 0 {
-			r[3+keyIdx] = scale
+			r[ml.KeyOffset+keyIdx] = scale
 		}
 		rows[i] = r
 	}

@@ -8,30 +8,32 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/ml"
-	"repro/internal/ml/knn"
 	"repro/internal/simrand"
 )
 
 // keyedFixture fits a per-MAC kNN whose one-hot block (width keys,
-// scaled by scale) starts at offset; only the first seen keys get
-// samples, so the rest are served by the global fallback. It returns the
-// estimator, the design dimension and probe positions.
-func keyedFixture(t *testing.T, offset, keys, seen int, scale float64) (*knn.PerKey, int, []geom.Vec3) {
+// scaled by scale) starts at ml.KeyOffset; only the first seen keys get
+// samples, so the rest are served by the all-rows fallback. It returns
+// the estimator, the design dimension and probe positions.
+func keyedFixture(t *testing.T, keys, seen int, scale float64) (*ml.PerKey, int, []geom.Vec3) {
 	t.Helper()
 	rng := simrand.New(31)
-	dim := offset + keys
+	dim := ml.KeyOffset + keys
 	var x [][]float64
 	var y []float64
 	for k := 0; k < seen; k++ {
 		for i := 0; i < 40; i++ {
 			row := make([]float64, dim)
 			row[0], row[1], row[2] = rng.Range(0, 4), rng.Range(0, 3), rng.Range(0, 2.6)
-			row[offset+k] = scale
+			row[ml.KeyOffset+k] = scale
 			x = append(x, row)
 			y = append(y, -40-6*row[0]-3*row[1]-4*float64(k)-rng.Range(0, 5))
 		}
 	}
-	est := &knn.PerKey{Sub: knn.PaperPlainConfig(), KeyOffset: offset}
+	est, err := DefaultStreamSpec().Build()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := est.Fit(x, y); err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +41,7 @@ func keyedFixture(t *testing.T, offset, keys, seen int, scale float64) (*knn.Per
 	for i := range probes {
 		probes[i] = geom.V(rng.Range(-0.5, 4.5), rng.Range(-0.5, 3.5), rng.Range(0, 2.6))
 	}
-	return est, dim, probes
+	return est.(*ml.PerKey), dim, probes
 }
 
 // rowPath is the reference: the one-hot design rows answered row by row
@@ -77,7 +79,7 @@ func TestKeyedPathMatchesRows(t *testing.T) {
 	for _, scale := range []float64{1, 3} {
 		t.Run(fmt.Sprintf("scale=%g", scale), func(t *testing.T) {
 			const keys, seen = 7, 4
-			est, dim, probes := keyedFixture(t, 3, keys, seen, scale)
+			est, dim, probes := keyedFixture(t, keys, seen, scale)
 			if _, ok := keyedPath(est, scale); !ok {
 				t.Fatal("a one-hot encoding at offset 3 did not take the keyed path")
 			}
@@ -113,45 +115,21 @@ func TestKeyedPathMatchesRows(t *testing.T) {
 }
 
 // TestKeyedPathDeclines pins when BatchPredictorFor keeps the row path:
-// an encoding without the one-hot block (scale 0 routes every key to the
-// global fallback) and an estimator routing from another column (its
-// KeyOffset reads designRows' block shifted by one). In both, the keyed
-// answer would differ, and the served one must be the row path's.
+// an encoding without the one-hot block (scale 0). Its rows name no key,
+// so the served answer is the router's rejection — not a guess from
+// whichever model the keyed path would pick.
 func TestKeyedPathDeclines(t *testing.T) {
-	cases := []struct {
-		name   string
-		offset int
-		scale  float64
-	}{
-		{"scale=0", 3, 0},
-		{"KeyOffset=4", 4, 1},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			const keys = 5
-			est, dim, probes := keyedFixture(t, c.offset, keys, keys, 1)
-			if _, ok := keyedPath(est, c.scale); ok {
-				t.Fatal("took the keyed path")
+	t.Run("scale=0", func(t *testing.T) {
+		const keys = 5
+		est, dim, probes := keyedFixture(t, keys, keys, 1)
+		if _, ok := keyedPath(est, 0); ok {
+			t.Fatal("took the keyed path")
+		}
+		predict := BatchPredictorFor(est, dim, 0)
+		for k := 0; k < keys; k++ {
+			if got, err := predict(probes, k); err == nil {
+				t.Fatalf("key %d: rows without a hot key answered %v, want an error", k, got)
 			}
-			predict := BatchPredictorFor(est, dim, c.scale)
-			differs := false
-			for k := 0; k < keys; k++ {
-				got, err := predict(probes, k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := sameBits(got, rowPath(t, est, probes, k, dim, c.scale)); err != nil {
-					t.Fatalf("key %d: %v", k, err)
-				}
-				keyed, err := est.PredictKeyed(designRows(probes, k, 3, 0), k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				differs = differs || sameBits(got, keyed) != nil
-			}
-			if !differs {
-				t.Fatal("fixture cannot tell the keyed path from the row path")
-			}
-		})
-	}
+		}
+	})
 }

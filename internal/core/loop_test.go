@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/ml"
-	"repro/internal/ml/knn"
 	"repro/internal/remshard"
 	"repro/internal/remstore"
 	"repro/internal/remwal"
@@ -30,7 +29,11 @@ func quietSpec() *EstimatorSpec {
 		Name:     "quiet per-MAC kNN",
 		Features: dataset.FeatureOptions{OneHotMACScale: 1},
 		Build: func() (ml.Estimator, error) {
-			return quietEstimator{&knn.PerKey{Sub: knn.PaperPlainConfig(), KeyOffset: 3}}, nil
+			est, err := DefaultStreamSpec().Build()
+			if err != nil {
+				return nil, err
+			}
+			return quietEstimator{est.(ml.IncrementalEstimator)}, nil
 		},
 	}
 }

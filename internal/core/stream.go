@@ -91,19 +91,18 @@ func DefaultStreamConfig(seed uint64) StreamConfig {
 	return StreamConfig{Config: DefaultConfig(seed)}
 }
 
-// DefaultStreamSpec is the streaming default: the per-MAC kNN ensemble.
-// Its Observe reports tight dirty sets — a window's samples dirty only
-// the MACs they belong to (plus any still served by the global fallback)
-// — which is what makes incremental rebuild cost proportional to the
-// delta rather than the map.
+// DefaultStreamSpec is the streaming default: the per-MAC kNN, one
+// plain tuned kNN per MAC behind the ml.PerKey router. Its Observe
+// reports tight dirty sets — a window's samples dirty only the MACs
+// they belong to (plus, while some MAC has no samples yet, the MACs the
+// all-rows fallback serves) — which is what makes incremental rebuild
+// cost proportional to the delta rather than the map.
 func DefaultStreamSpec() EstimatorSpec {
 	plain := dataset.FeatureOptions{OneHotMACScale: 1}
 	return EstimatorSpec{
 		Name:     "per-MAC kNN",
 		Features: plain,
-		Build: func() (ml.Estimator, error) {
-			return &knn.PerKey{Sub: knn.PaperPlainConfig(), KeyOffset: 3}, nil
-		},
+		Build:    perMAC(func() (ml.Estimator, error) { return knn.New(knn.PaperPlainConfig()) }),
 	}
 }
 

@@ -81,8 +81,8 @@ func fromScratchMap(t *testing.T, spec EstimatorSpec, pre *dataset.Preprocessed,
 
 // streamSpecs are the estimators the identity test sweeps: the tight
 // dirty-set default, the running-mean baseline, the shared one-hot kNN
-// (DirtyAll), a small full-retrain NN, and a non-incremental IDW ensemble
-// exercising the RefitAdapter fallback.
+// (DirtyAll), a small full-retrain NN, and per-MAC IDW, whose
+// non-incremental subs the router lifts through the RefitAdapter.
 func streamSpecs() []EstimatorSpec {
 	plain := dataset.FeatureOptions{OneHotMACScale: 1}
 	scaled := dataset.FeatureOptions{OneHotMACScale: 3}
@@ -94,7 +94,7 @@ func streamSpecs() []EstimatorSpec {
 		{
 			Name:     "baseline",
 			Features: plain,
-			Build:    func() (ml.Estimator, error) { return &baseline.MeanPerKey{KeyOffset: 3}, nil },
+			Build:    perMAC(func() (ml.Estimator, error) { return &baseline.GlobalMean{}, nil }),
 		},
 		{
 			Name:     "scaled kNN",
@@ -109,12 +109,7 @@ func streamSpecs() []EstimatorSpec {
 		{
 			Name:     "per-MAC IDW (adapter)",
 			Features: plain,
-			Build: func() (ml.Estimator, error) {
-				return &ml.PerKeyEnsemble{
-					Factory:   func() ml.Estimator { return &rem.IDW{Power: 2, Smoothing: 0.05} },
-					KeyOffset: 3,
-				}, nil
-			},
+			Build:    perMAC(func() (ml.Estimator, error) { return &rem.IDW{Power: 2, Smoothing: 0.05}, nil }),
 		},
 	}
 }

@@ -178,7 +178,7 @@ func (p *Preprocessed) Split(trainFrac float64, rng *simrand.Source) (train, tes
 	return mk(perm[:nTrain]), mk(perm[nTrain:]), nil
 }
 
-// ByMAC groups row indices by MAC index, used by the per-MAC kNN ensemble.
+// ByMAC groups row indices by MAC index.
 func (p *Preprocessed) ByMAC() map[int][]int {
 	out := map[int][]int{}
 	for i, r := range p.Rows {

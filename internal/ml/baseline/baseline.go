@@ -1,198 +1,32 @@
 // Package baseline implements the paper's reference estimator: predict the
 // mean RSS per MAC address, ignoring position entirely. Every smarter model
 // in Figure 8 is judged against it (RMSE 4.8107 dBm on the paper's data).
+// The per-MAC baseline is an ml.PerKey over GlobalMean: each MAC's
+// sub-model is the mean of its own samples.
 package baseline
 
 import (
-	"errors"
-	"fmt"
-	"sort"
-
 	"repro/internal/ml"
 )
 
-// MeanPerKey predicts the training-set mean of the target for each one-hot
-// key group. Features must contain a one-hot block starting at KeyOffset;
-// rows with no hot entry fall back to the global mean.
+// GlobalMean predicts the overall training mean regardless of features.
+// Alone it is the weakest sensible reference, useful in ablations; per
+// key (ml.PerKey) it is the paper's mean-per-MAC baseline.
 //
-// MeanPerKey is incremental: it keeps O(1)-updatable running sums per key,
-// so Observe folds a delta batch in constant time per row and the result
-// is byte-identical to a from-scratch Fit on the cumulative dataset (the
-// per-key addition sequence is exactly the cumulative row order).
-type MeanPerKey struct {
-	// KeyOffset is the index where the one-hot block starts (3 when the
-	// features are x, y, z followed by the MAC one-hot).
-	KeyOffset int
-
-	fitted     bool
-	dim        int // fitted feature dimension
-	width      int // one-hot block width (the key universe size)
-	globalMean float64
-	means      map[int]float64
-	// Running accumulators behind the means.
-	sums   map[int]float64
-	counts map[int]int
-	total  float64
-	n      int
-}
-
-var (
-	_ ml.Estimator            = (*MeanPerKey)(nil)
-	_ ml.Named                = (*MeanPerKey)(nil)
-	_ ml.IncrementalEstimator = (*MeanPerKey)(nil)
-)
-
-// Name implements ml.Named.
-func (m *MeanPerKey) Name() string { return "baseline (mean per MAC)" }
-
-// Fit implements ml.Estimator.
-func (m *MeanPerKey) Fit(x [][]float64, y []float64) error {
-	if err := ml.ValidateTrainingData(x, y); err != nil {
-		return err
-	}
-	if m.KeyOffset < 0 || m.KeyOffset >= len(x[0]) {
-		return fmt.Errorf("baseline: key offset %d outside feature dim %d", m.KeyOffset, len(x[0]))
-	}
-	keys, err := hotKeys(x, m.KeyOffset)
-	if err != nil {
-		return err
-	}
-	m.dim = len(x[0])
-	m.width = m.dim - m.KeyOffset
-	m.sums = map[int]float64{}
-	m.counts = map[int]int{}
-	m.total, m.n = 0, 0
-	m.fold(keys, y)
-	m.recompute()
-	m.fitted = true
-	return nil
-}
-
-// Observe implements ml.IncrementalEstimator: the batch is folded into the
-// running sums and the dirty set is the batch's keys plus — because every
-// sample moves the global-mean fallback — every key that still has no
-// samples of its own.
-func (m *MeanPerKey) Observe(x [][]float64, y []float64) ([]int, error) {
-	if !m.fitted {
-		return nil, ml.ErrNotFitted
-	}
-	if err := ml.ValidateObserved(x, y, m.dim); err != nil {
-		return nil, err
-	}
-	if len(x) == 0 {
-		return nil, nil
-	}
-	keys, err := hotKeys(x, m.KeyOffset)
-	if err != nil {
-		return nil, err
-	}
-	dirty := map[int]bool{}
-	for _, k := range keys {
-		dirty[k] = true
-	}
-	m.fold(keys, y)
-	for k := 0; k < m.width; k++ {
-		if m.counts[k] == 0 {
-			dirty[k] = true
-		}
-	}
-	m.recompute()
-	out := make([]int, 0, len(dirty))
-	for k := range dirty {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out, nil
-}
-
-// Refit implements ml.IncrementalEstimator. Observe already folds each
-// batch into the running means, so there is nothing deferred.
-func (m *MeanPerKey) Refit() error {
-	if !m.fitted {
-		return ml.ErrNotFitted
-	}
-	return nil
-}
-
-// hotKeys resolves every row's hot key upfront, so a malformed row is
-// rejected before any accumulator mutates.
-func hotKeys(x [][]float64, offset int) ([]int, error) {
-	keys := make([]int, len(x))
-	for i, row := range x {
-		key, err := hotIndex(row, offset)
-		if err != nil {
-			return nil, fmt.Errorf("baseline: row %d: %w", i, err)
-		}
-		keys[i] = key
-	}
-	return keys, nil
-}
-
-// fold adds a batch to the running accumulators in row order — the same
-// addition sequence a from-scratch fit on the cumulative data performs.
-func (m *MeanPerKey) fold(keys []int, y []float64) {
-	for i, k := range keys {
-		m.sums[k] += y[i]
-		m.counts[k]++
-		m.total += y[i]
-		m.n++
-	}
-}
-
-// recompute derives the served means from the accumulators.
-func (m *MeanPerKey) recompute() {
-	m.means = make(map[int]float64, len(m.sums))
-	for k, s := range m.sums {
-		m.means[k] = s / float64(m.counts[k])
-	}
-	m.globalMean = m.total / float64(m.n)
-}
-
-// Predict implements ml.Estimator.
-func (m *MeanPerKey) Predict(x []float64) (float64, error) {
-	if !m.fitted {
-		return 0, ml.ErrNotFitted
-	}
-	key, err := hotIndex(x, m.KeyOffset)
-	if err != nil {
-		return m.globalMean, nil
-	}
-	if mean, ok := m.means[key]; ok {
-		return mean, nil
-	}
-	return m.globalMean, nil
-}
-
-// hotIndex finds the index of the non-zero entry in the one-hot block.
-func hotIndex(row []float64, offset int) (int, error) {
-	if offset >= len(row) {
-		return 0, errors.New("one-hot block missing")
-	}
-	hot := -1
-	for i := offset; i < len(row); i++ {
-		if row[i] != 0 {
-			if hot >= 0 {
-				return 0, errors.New("multiple hot entries in one-hot block")
-			}
-			hot = i - offset
-		}
-	}
-	if hot < 0 {
-		return 0, errors.New("no hot entry in one-hot block")
-	}
-	return hot, nil
-}
-
-// GlobalMean predicts the overall training mean regardless of features; the
-// weakest sensible reference, useful in ablations.
+// GlobalMean is incremental: it keeps a running sum, so Observe folds a
+// batch in constant time per row and the mean is byte-identical to a
+// from-scratch Fit on the cumulative targets (the addition sequence is
+// the cumulative row order).
 type GlobalMean struct {
-	fitted bool
-	mean   float64
+	dim  int // fitted feature dimension; 0 before Fit
+	sum  float64
+	n    int
+	mean float64
 }
 
 var (
-	_ ml.Estimator = (*GlobalMean)(nil)
-	_ ml.Named     = (*GlobalMean)(nil)
+	_ ml.Named                = (*GlobalMean)(nil)
+	_ ml.IncrementalEstimator = (*GlobalMean)(nil)
 )
 
 // Name implements ml.Named.
@@ -203,18 +37,48 @@ func (g *GlobalMean) Fit(x [][]float64, y []float64) error {
 	if err := ml.ValidateTrainingData(x, y); err != nil {
 		return err
 	}
-	var sum float64
-	for _, v := range y {
-		sum += v
-	}
-	g.mean = sum / float64(len(y))
-	g.fitted = true
+	g.dim, g.sum, g.n = len(x[0]), 0, 0
+	g.add(y)
 	return nil
+}
+
+// Observe implements ml.IncrementalEstimator. Every row moves the mean,
+// so every key is dirty.
+func (g *GlobalMean) Observe(x [][]float64, y []float64) ([]int, error) {
+	if g.dim == 0 {
+		return nil, ml.ErrNotFitted
+	}
+	if err := ml.ValidateObserved(x, y, g.dim); err != nil {
+		return nil, err
+	}
+	if len(x) == 0 {
+		return nil, nil
+	}
+	g.add(y)
+	return []int{ml.DirtyAll}, nil
+}
+
+// Refit implements ml.IncrementalEstimator. Observe already folds each
+// batch into the mean, so there is nothing deferred.
+func (g *GlobalMean) Refit() error {
+	if g.dim == 0 {
+		return ml.ErrNotFitted
+	}
+	return nil
+}
+
+// add folds targets into the running sum in order.
+func (g *GlobalMean) add(y []float64) {
+	for _, v := range y {
+		g.sum += v
+	}
+	g.n += len(y)
+	g.mean = g.sum / float64(g.n)
 }
 
 // Predict implements ml.Estimator.
 func (g *GlobalMean) Predict(_ []float64) (float64, error) {
-	if !g.fitted {
+	if g.dim == 0 {
 		return 0, ml.ErrNotFitted
 	}
 	return g.mean, nil

@@ -18,9 +18,14 @@ func rows() ([][]float64, []float64) {
 	return x, y
 }
 
+// meanPerKey is the paper's mean-per-MAC baseline.
+func meanPerKey() *ml.PerKey {
+	return &ml.PerKey{Sub: func() (ml.Estimator, error) { return &GlobalMean{}, nil }}
+}
+
 func TestMeanPerKey(t *testing.T) {
 	x, y := rows()
-	m := &MeanPerKey{KeyOffset: 3}
+	m := meanPerKey()
 	if _, err := m.Predict(x[0]); !errors.Is(err, ml.ErrNotFitted) {
 		t.Errorf("unfitted error = %v", err)
 	}
@@ -39,25 +44,35 @@ func TestMeanPerKey(t *testing.T) {
 
 func TestMeanPerKeyFallsBackToGlobalMean(t *testing.T) {
 	x, y := rows()
-	m := &MeanPerKey{KeyOffset: 3}
+	for i := range x { // a third key that has no samples
+		x[i] = append(x[i], 0)
+	}
+	m := meanPerKey()
 	if err := m.Fit(x, y); err != nil {
 		t.Fatal(err)
 	}
 	globalMean := (-58.0 - 60 - 62 - 78 - 82) / 5
-	// No hot entry at all → global mean.
-	got, err := m.Predict([]float64{0, 0, 0, 0, 0})
+	// A key without samples → global mean.
+	got, err := m.Predict([]float64{0, 0, 0, 0, 0, 1})
 	if err != nil || math.Abs(got-globalMean) > 1e-12 {
-		t.Errorf("no-key prediction = %v, want global mean %v", got, globalMean)
+		t.Errorf("unseen-key prediction = %v, want global mean %v", got, globalMean)
+	}
+	// No hot entry at all names no key: rejected, not averaged.
+	if got, err := m.Predict([]float64{0, 0, 0, 0, 0, 0}); err == nil {
+		t.Errorf("no-key prediction = %v, want an error", got)
 	}
 }
 
 func TestMeanPerKeyValidation(t *testing.T) {
 	x, y := rows()
-	m := &MeanPerKey{KeyOffset: 99}
-	if err := m.Fit(x, y); err == nil {
-		t.Error("offset beyond features accepted")
+	m := meanPerKey()
+	xyz := make([][]float64, len(x))
+	for i, row := range x {
+		xyz[i] = row[:3]
 	}
-	m = &MeanPerKey{KeyOffset: 3}
+	if err := m.Fit(xyz, y); err == nil {
+		t.Error("rows without a one-hot block accepted")
+	}
 	bad := [][]float64{{0, 0, 0, 1, 1}} // two hot entries
 	if err := m.Fit(bad, []float64{1}); err == nil {
 		t.Error("multi-hot row accepted")
@@ -78,7 +93,7 @@ func TestMeanPerKeyScaledOneHot(t *testing.T) {
 		{0, 0, 0, 0, 3},
 	}
 	y := []float64{-50, -52, -90}
-	m := &MeanPerKey{KeyOffset: 3}
+	m := meanPerKey()
 	if err := m.Fit(x, y); err != nil {
 		t.Fatal(err)
 	}
@@ -102,11 +117,5 @@ func TestGlobalMean(t *testing.T) {
 	}
 	if g.Name() == "" {
 		t.Error("empty name")
-	}
-}
-
-func TestNames(t *testing.T) {
-	if (&MeanPerKey{}).Name() == "" {
-		t.Error("empty baseline name")
 	}
 }

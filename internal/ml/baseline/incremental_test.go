@@ -38,11 +38,11 @@ func cumulative(xs [][][]float64, ys [][]float64, upto int) ([][]float64, []floa
 
 // TestMeanPerKeyIncrementalIdentity is rule 7 at the estimator layer:
 // after every Observe, the running-mean model predicts byte-identically to
-// a fresh MeanPerKey fitted on the cumulative rows.
+// a fresh mean-per-key baseline fitted on the cumulative rows.
 func TestMeanPerKeyIncrementalIdentity(t *testing.T) {
 	const nKeys = 6
 	xs, ys := streamBatches(nKeys, []int{20, 7, 13}, []int{3, 5, nKeys})
-	inc := &MeanPerKey{KeyOffset: 3}
+	inc := meanPerKey()
 	if err := inc.Fit(xs[0], ys[0]); err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestMeanPerKeyIncrementalIdentity(t *testing.T) {
 			t.Fatal(err)
 		}
 		cx, cy := cumulative(xs, ys, b)
-		fresh := &MeanPerKey{KeyOffset: 3}
+		fresh := meanPerKey()
 		if err := fresh.Fit(cx, cy); err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +90,7 @@ func TestMeanPerKeyDirtySet(t *testing.T) {
 		row[3+key] = 1
 		return row, v
 	}
-	m := &MeanPerKey{KeyOffset: 3}
+	m := meanPerKey()
 	x0, y0 := mk(0, -50)
 	x1, y1 := mk(1, -60)
 	if err := m.Fit([][]float64{x0, x1}, []float64{y0, y1}); err != nil {
@@ -130,7 +130,7 @@ func TestMeanPerKeyDirtySet(t *testing.T) {
 // TestMeanPerKeyObserveValidation: unfitted observes, shape mismatches and
 // malformed one-hot rows are rejected without corrupting state.
 func TestMeanPerKeyObserveValidation(t *testing.T) {
-	m := &MeanPerKey{KeyOffset: 3}
+	m := meanPerKey()
 	if _, err := m.Observe([][]float64{{1, 2, 3, 1}}, []float64{-50}); err == nil {
 		t.Error("Observe before Fit accepted")
 	}

@@ -58,8 +58,9 @@ func ValidateObserved(x [][]float64, y []float64, dim int) error {
 // by retaining the cumulative training set and refitting from scratch on
 // every Refit. Observe always dirties every key. It is the fallback the
 // streaming pipeline uses for estimators without a native incremental
-// path (kriging, IDW, ensembles): correctness is identical, only the
-// refit cost is not proportional to the delta.
+// path (kriging, IDW): correctness is identical, only the refit cost is
+// not proportional to the delta. PerKey lifts each such sub through it,
+// so the refit covers only that key's rows.
 type RefitAdapter struct {
 	// Est is the wrapped estimator.
 	Est Estimator

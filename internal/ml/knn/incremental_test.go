@@ -266,14 +266,14 @@ func TestMergeRebuildsOnlyDirtySubtrees(t *testing.T) {
 	predictAllBits(t, "degraded-layout", r, fresh, queries)
 }
 
-// TestPerKeyIncrementalIdentity is rule 7 for the per-MAC ensemble, the
+// TestPerKeyIncrementalIdentity is rule 7 for the per-MAC kNN, the
 // estimator with tight dirty sets.
 func TestPerKeyIncrementalIdentity(t *testing.T) {
 	rng := simrand.New(777)
 	const nKeys = 4
 	x, y := knnStream(nKeys, 200, 1, rng)
 	queries, _ := knnStream(nKeys, 48, 1, rng)
-	inc := &PerKey{Sub: PaperPlainConfig(), KeyOffset: 3}
+	inc := perKey(PaperPlainConfig())
 	if err := inc.Fit(x[:100], y[:100]); err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestPerKeyIncrementalIdentity(t *testing.T) {
 		if err := inc.Refit(); err != nil {
 			t.Fatal(err)
 		}
-		fresh := &PerKey{Sub: PaperPlainConfig(), KeyOffset: 3}
+		fresh := perKey(PaperPlainConfig())
 		if err := fresh.Fit(x[:cut[1]], y[:cut[1]]); err != nil {
 			t.Fatal(err)
 		}
@@ -311,7 +311,7 @@ func TestPerKeyDirtySet(t *testing.T) {
 			ys = append(ys, y)
 		}
 	}
-	p := &PerKey{Sub: PaperPlainConfig(), KeyOffset: 3}
+	p := perKey(PaperPlainConfig())
 	if err := p.Fit(xs, ys); err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +320,7 @@ func TestPerKeyDirtySet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Key 3 still predicts through the global fallback, which moved.
+	// Key 3 still predicts through the all-rows fallback, which moved.
 	if want := []int{0, 3}; len(dirty) != 2 || dirty[0] != want[0] || dirty[1] != want[1] {
 		t.Fatalf("dirty = %v, want %v", dirty, want)
 	}
@@ -332,8 +332,11 @@ func TestPerKeyDirtySet(t *testing.T) {
 	if len(dirty) != 1 || dirty[0] != 3 {
 		t.Fatalf("dirty = %v, want [3]", dirty)
 	}
-	if p.subs[3] == nil {
-		t.Fatal("no sub-regressor spawned for the new key")
+	// Key 3's own regressor answers now: at x=9 its one sample is all it
+	// has, where the all-rows fallback would return key 0's exact match.
+	q3, _ := mk(3, 9)
+	if got, err := p.Predict(q3); err != nil || got != y3 {
+		t.Fatalf("key 3 at x=9 = %v, %v; want %v from its own regressor", got, err, y3)
 	}
 	x0b, y0b := mk(0, 5)
 	dirty, err = p.Observe([][]float64{x0b}, []float64{y0b})

@@ -3,6 +3,8 @@ package knn
 import (
 	"math"
 	"sort"
+
+	"repro/internal/ml"
 )
 
 // This file implements the spatial index behind Euclidean (p=2) neighbour
@@ -234,7 +236,7 @@ func buildIndex(x [][]float64) *kdIndex {
 		idx.scale = scale
 		idx.groups = map[int][]int{}
 		for i, row := range x {
-			h := hotIndex(row, oneHotOffset)
+			h := ml.HotKey(row)
 			idx.groups[h] = append(idx.groups[h], i)
 		}
 		idx.byKey = make(map[int]*kdTree, len(idx.groups))
@@ -263,7 +265,7 @@ func (ix *kdIndex) rebuildKey(x [][]float64, h int) {
 	members := ix.groups[h]
 	pts := make([][]float64, len(members))
 	for j, m := range members {
-		pts[j] = x[m][:oneHotOffset]
+		pts[j] = x[m][:ml.KeyOffset]
 	}
 	ix.byKey[h] = newKDTree(pts, members)
 }
@@ -285,8 +287,8 @@ func (ix *kdIndex) addRows(x [][]float64, from int) bool {
 		if len(row) != ix.dims {
 			return false
 		}
-		h := hotIndex(row, oneHotOffset)
-		if h < 0 || row[oneHotOffset+h] != ix.scale {
+		h := ml.HotKey(row)
+		if h < 0 || row[ml.KeyOffset+h] != ix.scale {
 			return false
 		}
 		hs[i-from] = h
@@ -308,23 +310,19 @@ func (ix *kdIndex) addRows(x [][]float64, from int) bool {
 	return true
 }
 
-// oneHotOffset is where the one-hot block starts in the paper's feature
-// layout (x, y, z, one-hot MAC).
-const oneHotOffset = 3
-
 // oneHotScale reports whether every row is xyz followed by exactly one hot
 // entry of a common non-zero magnitude, returning that magnitude.
 func oneHotScale(x [][]float64) (float64, bool) {
-	if len(x[0]) <= oneHotOffset {
+	if len(x[0]) <= ml.KeyOffset {
 		return 0, false
 	}
 	scale := 0.0
 	for _, row := range x {
-		h := hotIndex(row, oneHotOffset)
+		h := ml.HotKey(row)
 		if h < 0 {
 			return 0, false
 		}
-		v := row[oneHotOffset+h]
+		v := row[ml.KeyOffset+h]
 		if scale == 0 {
 			scale = v
 		}
@@ -343,11 +341,11 @@ func (ix *kdIndex) search(q []float64, nb *nearest) bool {
 		ix.tree.search(q, 0, nb, func(p []float64) (float64, float64) { return euclid(q, p) })
 		return true
 	}
-	h := hotIndex(q, oneHotOffset)
-	if h < 0 || q[oneHotOffset+h] != ix.scale {
+	h := ml.HotKey(q)
+	if h < 0 || q[ml.KeyOffset+h] != ix.scale {
 		return false
 	}
-	qxyz := q[:oneHotOffset]
+	qxyz := q[:ml.KeyOffset]
 	s2 := ix.scale * ix.scale
 	sameKey := func(p []float64) (float64, float64) {
 		return euclid(qxyz, p)

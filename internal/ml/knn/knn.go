@@ -1,8 +1,8 @@
 // Package knn implements the k-nearest-neighbour regressors of the paper's
 // §III-B: a Minkowski-metric kNN with uniform or distance weighting over
 // x/y/z + one-hot-MAC features (including the scaled-one-hot variant that
-// wins Figure 8), and the per-MAC ensemble alternative that fits one
-// xyz-only regressor per MAC address.
+// wins Figure 8). The paper's per-MAC alternative, one xyz-only regressor
+// per MAC address, is an ml.PerKey over this package's Regressor.
 //
 // Euclidean (p=2) queries are served by a KD-tree spatial index with
 // per-key subtrees for the one-hot-MAC layout (see kdtree.go); other
@@ -150,7 +150,7 @@ func (r *Regressor) Fit(x [][]float64, y []float64) error {
 // has cross-key reach — a new sample under one hot key can enter the
 // neighbour set of queries under any other key, because the one-hot
 // offset is a constant distance penalty, not a wall — so the whole
-// vocabulary is reported dirty. The per-key ensemble (PerKey) is the
+// vocabulary is reported dirty. The per-MAC router (ml.PerKey) is the
 // variant with tight dirty sets.
 func (r *Regressor) Observe(x [][]float64, y []float64) ([]int, error) {
 	if r.x == nil {

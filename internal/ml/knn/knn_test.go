@@ -190,8 +190,13 @@ func TestKNNBeatsMeanOnSpatialData(t *testing.T) {
 	}
 }
 
+// perKey is the paper's per-MAC kNN: one cfg regressor per key.
+func perKey(cfg Config) *ml.PerKey {
+	return &ml.PerKey{Sub: func() (ml.Estimator, error) { return New(cfg) }}
+}
+
 func TestPerKeyRouting(t *testing.T) {
-	p := &PerKey{Sub: Config{K: 1, Weights: Uniform, MinkowskiP: 2}, KeyOffset: 3}
+	p := perKey(Config{K: 1, Weights: Uniform, MinkowskiP: 2})
 	// Two keys at the same location with different values: routing must
 	// separate them perfectly.
 	x := [][]float64{
@@ -213,7 +218,7 @@ func TestPerKeyRouting(t *testing.T) {
 }
 
 func TestPerKeyUnseenKeyFallsBack(t *testing.T) {
-	p := &PerKey{Sub: Config{K: 1, Weights: Uniform, MinkowskiP: 2}, KeyOffset: 3}
+	p := perKey(Config{K: 1, Weights: Uniform, MinkowskiP: 2})
 	x := [][]float64{
 		{1, 1, 1, 1, 0, 0},
 		{2, 2, 2, 0, 1, 0},
@@ -222,7 +227,7 @@ func TestPerKeyUnseenKeyFallsBack(t *testing.T) {
 	if err := p.Fit(x, y); err != nil {
 		t.Fatal(err)
 	}
-	// Key 2 never seen: prediction must still work (global fallback).
+	// Key 2 never seen: prediction must still work (all-rows fallback).
 	got, err := p.Predict([]float64{1, 1, 1, 0, 0, 1})
 	if err != nil {
 		t.Fatal(err)
@@ -233,15 +238,15 @@ func TestPerKeyUnseenKeyFallsBack(t *testing.T) {
 }
 
 func TestPerKeyValidation(t *testing.T) {
-	p := &PerKey{Sub: Config{K: 0}, KeyOffset: 3}
+	p := perKey(Config{K: 0})
 	if err := p.Fit([][]float64{{1, 1, 1, 1}}, []float64{1}); err == nil {
 		t.Error("invalid sub-config accepted")
 	}
-	p = &PerKey{Sub: PaperPlainConfig(), KeyOffset: 2}
-	if err := p.Fit([][]float64{{1, 1, 1, 1}}, []float64{1}); err == nil {
-		t.Error("offset < 3 accepted")
+	p = perKey(PaperPlainConfig())
+	if err := p.Fit([][]float64{{1, 1, 1}}, []float64{1}); err == nil {
+		t.Error("rows without a one-hot block accepted")
 	}
-	p = &PerKey{Sub: PaperPlainConfig(), KeyOffset: 3}
+	p = perKey(PaperPlainConfig())
 	if _, err := p.Predict([]float64{1}); !errors.Is(err, ml.ErrNotFitted) {
 		t.Errorf("unfitted error = %v", err)
 	}
@@ -255,14 +260,10 @@ func TestNames(t *testing.T) {
 	if r.Name() == "" {
 		t.Error("empty regressor name")
 	}
-	p := &PerKey{Sub: PaperPlainConfig(), KeyOffset: 3}
-	if p.Name() == "" {
-		t.Error("empty per-key name")
-	}
 }
 
 func TestPerKeyPredictKeyedNotFitted(t *testing.T) {
-	p := &PerKey{Sub: PaperPlainConfig(), KeyOffset: 3}
+	p := perKey(PaperPlainConfig())
 	if _, err := p.PredictKeyed([][]float64{{1, 1, 1}}, 0); !errors.Is(err, ml.ErrNotFitted) {
 		t.Errorf("unfitted PredictKeyed: %v, want ErrNotFitted", err)
 	}

@@ -348,11 +348,8 @@ func TestMapWriteCSV(t *testing.T) {
 }
 
 func TestPerKeyEnsembleWithIDW(t *testing.T) {
-	// The generic ensemble must route to per-key IDW interpolators.
-	ens := &ml.PerKeyEnsemble{
-		Factory:   func() ml.Estimator { return &IDW{Power: 2} },
-		KeyOffset: 3,
-	}
+	// The per-key router must route to per-key IDW interpolators.
+	ens := &ml.PerKey{Sub: func() (ml.Estimator, error) { return &IDW{Power: 2}, nil }}
 	x := [][]float64{
 		{0, 0, 0, 1, 0}, {1, 0, 0, 1, 0},
 		{0, 0, 0, 0, 1}, {1, 0, 0, 0, 1},
@@ -363,11 +360,11 @@ func TestPerKeyEnsembleWithIDW(t *testing.T) {
 	}
 	got, err := ens.Predict([]float64{0, 0, 0, 1, 0})
 	if err != nil || got != -50 {
-		t.Errorf("ensemble key-0 = %v, %v", got, err)
+		t.Errorf("per-key key-0 = %v, %v", got, err)
 	}
 	got, _ = ens.Predict([]float64{0, 0, 0, 0, 1})
 	if got != -80 {
-		t.Errorf("ensemble key-1 = %v", got)
+		t.Errorf("per-key key-1 = %v", got)
 	}
 }
 

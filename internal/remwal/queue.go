@@ -16,13 +16,18 @@ import (
 // durable before the client sees the acknowledgement. A full queue
 // sheds load (ErrFull → 429 + Retry-After) instead of blocking; a
 // closed queue (the stream loop is down) fails fast (ErrClosed → 503).
-// Queries never touch the queue, so ingest pressure cannot slow reads.
+// A failed append closes the queue too: the log is poisoned, so nothing
+// can be acknowledged again, and the loop drains what was acked and
+// stops with the log's error instead of waiting for batches that
+// cannot come. Queries never touch the queue, so ingest pressure
+// cannot slow reads.
 
 // DefaultQueueCapacity bounds the queue when Config leaves it zero.
 const DefaultQueueCapacity = 64
 
 // ErrClosed is returned by Submit and Pop once the queue is closed —
-// the stream loop has stopped consuming.
+// the stream loop has stopped consuming, or a failed append poisoned
+// the WAL (the error then wraps the log's sticky error as well).
 var ErrClosed = errors.New("remwal: ingest queue closed")
 
 // ErrAppend wraps a WAL write failure inside Submit, so the serving
@@ -95,7 +100,8 @@ func (q *Queue) SetValidator(fn func(Batch) error) {
 // Submit validates, persists and enqueues one batch, returning its WAL
 // sequence number (0 without a Log). A full queue returns *FullError
 // without persisting anything — the client retries and no duplicate
-// record is left behind; a closed queue returns ErrClosed.
+// record is left behind; a closed queue returns ErrClosed. A failed
+// append returns ErrAppend and closes the queue.
 func (q *Queue) Submit(b Batch) (uint64, error) {
 	o := q.o.Load()
 	if len(b.Points) != len(b.Values) {
@@ -110,7 +116,7 @@ func (q *Queue) Submit(b Batch) (uint64, error) {
 	defer q.mu.Unlock()
 	if q.closed {
 		o.markClosed()
-		return 0, ErrClosed
+		return 0, q.closedErr()
 	}
 	if q.validate != nil {
 		if err := q.validate(b); err != nil {
@@ -127,6 +133,7 @@ func (q *Queue) Submit(b Batch) (uint64, error) {
 		q.enc = AppendBatch(q.enc[:0], b)
 		var err error
 		if seq, err = q.log.Append(q.enc); err != nil {
+			q.closeLocked()
 			return 0, fmt.Errorf("%w: %v", ErrAppend, err)
 		}
 	}
@@ -138,12 +145,13 @@ func (q *Queue) Submit(b Batch) (uint64, error) {
 }
 
 // Pop dequeues the next batch, blocking until one arrives, ctx is
-// done, or the queue is closed and drained (ErrClosed).
+// done, or the queue is closed and drained (ErrClosed, wrapping the
+// WAL's error when a failed append closed it).
 func (q *Queue) Pop(ctx context.Context) (Batch, error) {
 	select {
 	case b, ok := <-q.ch:
 		if !ok {
-			return Batch{}, ErrClosed
+			return Batch{}, q.closedErr()
 		}
 		q.observePop()
 		return b, nil
@@ -194,11 +202,26 @@ func (q *Queue) retryAfterLocked() int {
 // reports ErrClosed. Closing twice is a no-op.
 func (q *Queue) Close() {
 	q.mu.Lock()
+	q.closeLocked()
+	q.mu.Unlock()
+}
+
+func (q *Queue) closeLocked() {
 	if !q.closed {
 		q.closed = true
 		close(q.ch)
 	}
-	q.mu.Unlock()
+}
+
+// closedErr is what a closed queue reports: ErrClosed, wrapping the
+// log's sticky error when the WAL has failed.
+func (q *Queue) closedErr() error {
+	if q.log != nil {
+		if err := q.log.Err(); err != nil {
+			return fmt.Errorf("%w: wal failed: %w", ErrClosed, err)
+		}
+	}
+	return ErrClosed
 }
 
 // Len is the current queue depth.
