@@ -772,11 +772,13 @@ func BenchmarkShardedRebuild4(b *testing.B) { benchmarkShardedRebuild(b, 4) }
 func BenchmarkShardedRebuild8(b *testing.B) { benchmarkShardedRebuild(b, 8) }
 
 // ---------------------------------------------------------------------------
-// Insert-log merge cost: an interleaved observe/query stream against
-// the shared-feature-space kNN at its derived ≈√n merge threshold. A
-// smaller threshold would keep the per-query linear log scan short but
-// rebuild subtrees often; a larger one would amortise rebuilds but tax
-// every query.
+// Merge-on-observe cost: an interleaved observe/query stream against the
+// shared-feature-space kNN, never calling Refit. Every Observe merges its
+// batch into the index at once, rebuilding the per-MAC subtrees that
+// gained rows, so the queries after it run on the index alone. No
+// production caller runs this regime (every Observe caller — the
+// generation loop, ml.PerKey, the examples — calls Refit before its
+// next query); it isolates the per-batch merge cost.
 
 func BenchmarkKNNMergeFrontierAuto(b *testing.B) {
 	cfg := knn.PaperScaledConfig()
@@ -833,7 +835,7 @@ func benchmarkGridSearch(b *testing.B, workers int) {
 	})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ml.GridSearchWorkers(factory, candidates, x, y, 0.25, simrand.New(9), workers); err != nil {
+		if _, err := ml.GridSearch(factory, candidates, x, y, 0.25, simrand.New(9), workers); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"repro/internal/dataset"
@@ -62,6 +63,34 @@ func TestPipelinePreprocessingMatchesPaperScale(t *testing.T) {
 	}
 	if res.Pre.Dropped+retained != res.Data.Len() {
 		t.Error("dropped + retained ≠ total")
+	}
+}
+
+// TestDesignRowsMatchDesignMatrix pins the two design-row encoders to one
+// layout: bootstrap and stream windows encode through
+// dataset.DesignMatrix, live batches and rasterisation through
+// designRows. For every encoding scale the pipeline uses (0 omits the
+// one-hot block), designRows of each preprocessed row's position and MAC
+// index must equal that row of DesignMatrix bit for bit, at width
+// FeatureDim.
+func TestDesignRowsMatchDesignMatrix(t *testing.T) {
+	pre := runPipeline(t).Pre
+	for _, scale := range []float64{0, 1, 3} {
+		opt := dataset.FeatureOptions{OneHotMACScale: scale}
+		dim := pre.FeatureDim(opt)
+		want, _ := pre.DesignMatrix(opt)
+		for i, r := range pre.Rows {
+			pos := []geom.Vec3{{X: r.Pos[0], Y: r.Pos[1], Z: r.Pos[2]}}
+			got := designRows(pos, r.MACIndex, dim, scale)[0]
+			if len(got) != dim || len(want[i]) != dim {
+				t.Fatalf("scale %g row %d: widths %d and %d, want FeatureDim %d", scale, i, len(got), len(want[i]), dim)
+			}
+			for j := range got {
+				if math.Float64bits(got[j]) != math.Float64bits(want[i][j]) {
+					t.Fatalf("scale %g row %d column %d: designRows %v ≠ DesignMatrix %v", scale, i, j, got[j], want[i][j])
+				}
+			}
+		}
 	}
 }
 

@@ -42,8 +42,6 @@ import (
 type IngestConfig struct {
 	Config
 	// Spec is the served estimator; nil means DefaultStreamSpec.
-	// Features.IncludeChannel is rejected: live observations carry no
-	// channel, so the design-matrix row for a batch could not be built.
 	Spec *EstimatorSpec
 	// MaxHistory bounds the store's retained snapshot history
 	// (≤ 0 means remstore.DefaultMaxHistory).
@@ -140,9 +138,6 @@ func RunIngestWithDataset(cfg IngestConfig, data *dataset.Dataset, report *missi
 	}
 	if cfg.Context == nil {
 		return nil, errors.New("core: ingest needs a Context (the loop has no natural end)")
-	}
-	if cfg.Spec != nil && cfg.Spec.Features.IncludeChannel {
-		return nil, errors.New("core: ingest cannot serve channel features (live observations carry no channel)")
 	}
 	g, err := newGenerator(cfg.Config, cfg.Spec, data, remshard.Config{MaxHistory: cfg.MaxHistory}, cfg.Observer)
 	if err != nil {

@@ -313,13 +313,6 @@ func TestIngestValidation(t *testing.T) {
 		t.Fatal("missing context accepted")
 	}
 	cfg = base()
-	spec := DefaultStreamSpec()
-	spec.Features.IncludeChannel = true
-	cfg.Spec = &spec
-	if _, err := RunIngestWithDataset(cfg, data, nil); err == nil {
-		t.Fatal("channel features accepted")
-	}
-	cfg = base()
 	if _, err := RunIngestWithDataset(cfg, nil, nil); err == nil {
 		t.Fatal("nil dataset accepted")
 	}

@@ -88,7 +88,6 @@ func streamSpecs() []EstimatorSpec {
 	scaled := dataset.FeatureOptions{OneHotMACScale: 3}
 	nnCfg := nn.PaperConfig(5)
 	nnCfg.Epochs = 10
-	nnCfg.RetainTraining = true // incremental use extends the training set
 	return []EstimatorSpec{
 		DefaultStreamSpec(),
 		{

@@ -83,9 +83,6 @@ func TestPreprocessQuickConservation(t *testing.T) {
 			if r.MACIndex < 0 || r.MACIndex >= len(p.MACs) {
 				return false
 			}
-			if r.ChannelIndex < 0 || r.ChannelIndex >= len(p.Channels) {
-				return false
-			}
 		}
 		return true
 	}
@@ -99,7 +96,7 @@ func TestSplitQuickConservation(t *testing.T) {
 	f := func(seed uint16, n uint8, fracRaw uint8) bool {
 		rows := int(n)%60 + 2
 		frac := 0.1 + 0.8*float64(fracRaw)/255
-		p := &Preprocessed{MACs: []string{"m"}, Channels: []int{1}}
+		p := &Preprocessed{MACs: []string{"m"}}
 		for i := 0; i < rows; i++ {
 			p.Rows = append(p.Rows, Row{Pos: [3]float64{float64(i), 0, 0}, RSSI: float64(-i)})
 		}

@@ -254,13 +254,6 @@ func TestDesignMatrixEncodings(t *testing.T) {
 			}
 		}
 	}
-
-	// With channel block.
-	opt = FeatureOptions{OneHotMACScale: 1, IncludeChannel: true}
-	if got := p.FeatureDim(opt); got != 3+len(p.MACs)+len(p.Channels) {
-		t.Errorf("FeatureDim = %d", got)
-	}
-	x, _ = p.DesignMatrix(opt)
 	if len(x[0]) != p.FeatureDim(opt) {
 		t.Error("design matrix dim disagrees with FeatureDim")
 	}
@@ -309,26 +302,5 @@ func TestSplitDeterministic(t *testing.T) {
 		if tr1.Rows[i] != tr2.Rows[i] {
 			t.Fatal("split not deterministic")
 		}
-	}
-}
-
-func TestByMAC(t *testing.T) {
-	d := sampleData()
-	p, _ := Preprocess(d, 1)
-	groups := p.ByMAC()
-	if len(groups) != 3 {
-		t.Fatalf("groups = %d", len(groups))
-	}
-	total := 0
-	for mi, idxs := range groups {
-		total += len(idxs)
-		for _, i := range idxs {
-			if p.Rows[i].MACIndex != mi {
-				t.Fatal("row grouped under wrong MAC")
-			}
-		}
-	}
-	if total != len(p.Rows) {
-		t.Error("grouping lost rows")
 	}
 }

@@ -19,8 +19,6 @@ type Row struct {
 	Pos [3]float64
 	// MACIndex is the index into the one-hot MAC vocabulary.
 	MACIndex int
-	// ChannelIndex is the index into the one-hot channel vocabulary.
-	ChannelIndex int
 	// RSSI is the regression target in dBm.
 	RSSI float64
 }
@@ -34,17 +32,14 @@ type Preprocessed struct {
 	// MACs is the one-hot vocabulary, sorted for determinism; MACIndex
 	// refers into it.
 	MACs []string
-	// Channels is the channel vocabulary, sorted; ChannelIndex refers
-	// into it.
-	Channels []int
 	// Dropped is the number of samples removed by the MAC threshold
 	// (paper: 131).
 	Dropped int
 }
 
 // Preprocess applies the paper's §III-B pipeline: group by MAC, drop MACs
-// with fewer than minPerMAC samples, and build the categorical vocabularies
-// for one-hot encoding.
+// with fewer than minPerMAC samples, and build the MAC vocabulary for
+// one-hot encoding.
 func Preprocess(d *Dataset, minPerMAC int) (*Preprocessed, error) {
 	if minPerMAC < 1 {
 		return nil, fmt.Errorf("dataset: minPerMAC must be ≥1, got %d", minPerMAC)
@@ -73,33 +68,16 @@ func Preprocess(d *Dataset, minPerMAC int) (*Preprocessed, error) {
 		macIdx[m] = i
 	}
 
-	chSet := map[int]bool{}
-	for _, s := range d.Samples {
-		if keep[s.MAC] {
-			chSet[s.Channel] = true
-		}
-	}
-	channels := make([]int, 0, len(chSet))
-	for ch := range chSet {
-		channels = append(channels, ch)
-	}
-	sort.Ints(channels)
-	chIdx := make(map[int]int, len(channels))
-	for i, ch := range channels {
-		chIdx[ch] = i
-	}
-
-	p := &Preprocessed{MACs: macs, Channels: channels}
+	p := &Preprocessed{MACs: macs}
 	for _, s := range d.Samples {
 		if !keep[s.MAC] {
 			p.Dropped++
 			continue
 		}
 		p.Rows = append(p.Rows, Row{
-			Pos:          [3]float64{s.X, s.Y, s.Z},
-			MACIndex:     macIdx[s.MAC],
-			ChannelIndex: chIdx[s.Channel],
-			RSSI:         float64(s.RSSI),
+			Pos:      [3]float64{s.X, s.Y, s.Z},
+			MACIndex: macIdx[s.MAC],
+			RSSI:     float64(s.RSSI),
 		})
 	}
 	return p, nil
@@ -111,8 +89,6 @@ type FeatureOptions struct {
 	// kNN uses 3 so that samples from different MACs sit farther apart.
 	// Zero omits the MAC block entirely.
 	OneHotMACScale float64
-	// IncludeChannel appends a one-hot channel block.
-	IncludeChannel bool
 }
 
 // FeatureDim returns the dimensionality the options produce.
@@ -120,9 +96,6 @@ func (p *Preprocessed) FeatureDim(opt FeatureOptions) int {
 	dim := 3
 	if opt.OneHotMACScale != 0 {
 		dim += len(p.MACs)
-	}
-	if opt.IncludeChannel {
-		dim += len(p.Channels)
 	}
 	return dim
 }
@@ -136,13 +109,8 @@ func (p *Preprocessed) DesignMatrix(opt FeatureOptions) (x [][]float64, y []floa
 	for i, r := range p.Rows {
 		v := make([]float64, dim)
 		v[0], v[1], v[2] = r.Pos[0], r.Pos[1], r.Pos[2]
-		off := 3
 		if opt.OneHotMACScale != 0 {
-			v[off+r.MACIndex] = opt.OneHotMACScale
-			off += len(p.MACs)
-		}
-		if opt.IncludeChannel {
-			v[off+r.ChannelIndex] = 1
+			v[3+r.MACIndex] = opt.OneHotMACScale
 		}
 		x[i] = v
 		y[i] = r.RSSI
@@ -168,7 +136,7 @@ func (p *Preprocessed) Split(trainFrac float64, rng *simrand.Source) (train, tes
 		nTrain = len(p.Rows) - 1
 	}
 	mk := func(idx []int) *Preprocessed {
-		q := &Preprocessed{MACs: p.MACs, Channels: p.Channels}
+		q := &Preprocessed{MACs: p.MACs}
 		q.Rows = make([]Row, len(idx))
 		for i, j := range idx {
 			q.Rows[i] = p.Rows[j]
@@ -176,13 +144,4 @@ func (p *Preprocessed) Split(trainFrac float64, rng *simrand.Source) (train, tes
 		return q
 	}
 	return mk(perm[:nTrain]), mk(perm[nTrain:]), nil
-}
-
-// ByMAC groups row indices by MAC index.
-func (p *Preprocessed) ByMAC() map[int][]int {
-	out := map[int][]int{}
-	for i, r := range p.Rows {
-		out[r.MACIndex] = append(out[r.MACIndex], i)
-	}
-	return out
 }

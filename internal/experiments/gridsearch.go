@@ -69,7 +69,7 @@ func GridSearchReproduction(seed uint64, workers int) (*GridSearchResult, error)
 	search := func(opt dataset.FeatureOptions, name string) ([]ml.SearchResult, error) {
 		trX, trY := train.DesignMatrix(opt)
 		// "The validation set was taken out of the training set" (§III-B).
-		results, err := ml.GridSearchWorkers(factory, candidates, trX, trY, 0.25, rng.Derive(name), workers)
+		results, err := ml.GridSearch(factory, candidates, trX, trY, 0.25, rng.Derive(name), workers)
 		if err != nil {
 			return nil, err
 		}

@@ -24,13 +24,7 @@ type GlobalMean struct {
 	mean float64
 }
 
-var (
-	_ ml.Named                = (*GlobalMean)(nil)
-	_ ml.IncrementalEstimator = (*GlobalMean)(nil)
-)
-
-// Name implements ml.Named.
-func (g *GlobalMean) Name() string { return "global mean" }
+var _ ml.IncrementalEstimator = (*GlobalMean)(nil)
 
 // Fit implements ml.Estimator.
 func (g *GlobalMean) Fit(x [][]float64, y []float64) error {

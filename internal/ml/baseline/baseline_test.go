@@ -115,7 +115,4 @@ func TestGlobalMean(t *testing.T) {
 	if err != nil || math.Abs(got+72) > 1e-12 {
 		t.Errorf("global mean = %v, want −72", got)
 	}
-	if g.Name() == "" {
-		t.Error("empty name")
-	}
 }

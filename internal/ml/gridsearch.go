@@ -56,26 +56,15 @@ type SearchResult struct {
 // via the factory, training on a sub-split of the training data and scoring
 // on a held-out validation split ("the validation set was taken out of the
 // training set", §III-B). It returns all results sorted by RMSE, best first.
-// Candidates are evaluated on the shared worker pool; see
-// GridSearchWorkers for the determinism contract.
-func GridSearch(
-	factory func(Params) (Estimator, error),
-	candidates []Params,
-	trainX [][]float64, trainY []float64,
-	valFrac float64,
-	rng *simrand.Source,
-) ([]SearchResult, error) {
-	return GridSearchWorkers(factory, candidates, trainX, trainY, valFrac, rng, 0)
-}
-
-// GridSearchWorkers is GridSearch with an explicit bound on concurrent
-// candidate evaluations (≤ 0 means GOMAXPROCS). The validation split is
-// drawn from rng before any candidate runs, results land in candidate
-// order, and the final sort is stable — so the output is byte-identical to
-// the sequential run for every worker count. Factories needing randomness
+//
+// Candidates are evaluated on the shared worker pool, at most workers at
+// a time (≤ 0 means GOMAXPROCS). The validation split is drawn from rng
+// before any candidate runs, results land in candidate order, and the
+// final sort is stable — so the output is byte-identical to the
+// sequential run for every worker count. Factories needing randomness
 // must derive it from the Params themselves (e.g. a seed entry) rather
 // than consume a shared stream inside the pool.
-func GridSearchWorkers(
+func GridSearch(
 	factory func(Params) (Estimator, error),
 	candidates []Params,
 	trainX [][]float64, trainY []float64,

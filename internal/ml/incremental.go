@@ -22,14 +22,11 @@ const DirtyAll = -1
 // the snapshot identity.
 //
 // Refit guarantees the model fully reflects every observed batch.
-// Implementations may surface observations earlier (the kNN's insert log
-// answers queries immediately), but only after Refit does the contract
-// hold: **the refitted estimator predicts byte-identically to a fresh
-// estimator of the same configuration fitted on the cumulative dataset in
-// arrival order** (determinism contract rule 7). The NN's warm-start
-// fine-tune mode (Config.FineTuneEpochs > 0) is the one documented
-// exception: it trades that identity for bounded refit cost and promises
-// determinism of the incremental sequence instead.
+// Implementations may surface observations earlier (the kNN merges each
+// batch into its index on Observe), but only after Refit does the
+// contract hold: **the refitted estimator predicts byte-identically to a
+// fresh estimator of the same configuration fitted on the cumulative
+// dataset in arrival order** (determinism contract rule 7).
 type IncrementalEstimator interface {
 	Estimator
 	// Observe buffers a batch of new training rows and returns the keys
@@ -56,11 +53,11 @@ func ValidateObserved(x [][]float64, y []float64, dim int) error {
 
 // RefitAdapter lifts any Estimator into the IncrementalEstimator contract
 // by retaining the cumulative training set and refitting from scratch on
-// every Refit. Observe always dirties every key. It is the fallback the
-// streaming pipeline uses for estimators without a native incremental
-// path (kriging, IDW): correctness is identical, only the refit cost is
-// not proportional to the delta. PerKey lifts each such sub through it,
-// so the refit covers only that key's rows.
+// every Refit. Observe always dirties every key. It is the one
+// incremental path of estimators without a native one (the NN, kriging,
+// IDW): correctness is identical, only the refit cost is not
+// proportional to the delta. PerKey lifts each such sub through it, so
+// the refit covers only that key's rows.
 type RefitAdapter struct {
 	// Est is the wrapped estimator.
 	Est Estimator
@@ -80,15 +77,6 @@ func NewRefitAdapter(est Estimator) IncrementalEstimator {
 		return inc
 	}
 	return &RefitAdapter{Est: est}
-}
-
-// Name implements Named, delegating when the wrapped estimator labels
-// itself.
-func (a *RefitAdapter) Name() string {
-	if n, ok := a.Est.(Named); ok {
-		return n.Name()
-	}
-	return fmt.Sprintf("refit adapter (%T)", a.Est)
 }
 
 // Fit implements Estimator: it records the training set as the cumulative

@@ -271,8 +271,8 @@ func (ix *kdIndex) rebuildKey(x [][]float64, h int) {
 }
 
 // addRows merges rows x[from:] into the index incrementally, rebuilding
-// only the per-key subtrees that gained members (the cheap per-MAC merge
-// the insert log is buffered for). It reports false — mutating nothing —
+// only the per-key subtrees that gained members (the cheap per-MAC
+// merge Observe relies on). It reports false — mutating nothing —
 // when any new row does not fit the index's one-hot layout; the caller
 // then rebuilds the index from scratch.
 func (ix *kdIndex) addRows(x [][]float64, from int) bool {

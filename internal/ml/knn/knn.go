@@ -59,11 +59,6 @@ type Config struct {
 	BruteForce bool
 }
 
-// MinMergeThreshold floors the ≈√n insert-log bound (see
-// Regressor.mergeThreshold) so tiny training sets do not rebuild their
-// index on nearly every observation.
-const MinMergeThreshold = 16
-
 // PaperPlainConfig is the paper's tuned plain kNN: k=3, distance weights,
 // Euclidean metric.
 func PaperPlainConfig() Config {
@@ -93,24 +88,20 @@ func (c Config) Validate() error {
 // Regressor is a kNN regressor. Fit stores the training set and, for the
 // Euclidean metric, builds the KD-tree index; Predict queries it.
 //
-// Regressor is incremental: Observe appends new samples to an insert log
-// that queries scan alongside the index (canonical neighbour ordering
-// makes the two paths merge byte-identically), and the log folds into the
-// KD-forest once it exceeds mergeThreshold or Refit is called.
-// Observe and Refit must not run concurrently with queries.
+// Regressor is incremental: Observe folds new samples straight into the
+// index, rebuilding only the per-key subtrees that gained rows, so
+// queries after Observe already match a from-scratch fit and Refit has
+// nothing left to do. Observe and Refit must not run concurrently with
+// queries.
 type Regressor struct {
-	cfg Config
-	x   [][]float64
-	y   []float64
-	// index covers x[:indexed]; rows at and beyond indexed are the insert
-	// log, scanned linearly by every query until the next merge.
-	index   *kdIndex
-	indexed int
+	cfg   Config
+	x     [][]float64
+	y     []float64
+	index *kdIndex // covers every row of x; nil when no index applies
 }
 
 var (
 	_ ml.Estimator            = (*Regressor)(nil)
-	_ ml.Named                = (*Regressor)(nil)
 	_ ml.BatchPredictor       = (*Regressor)(nil)
 	_ ml.IncrementalEstimator = (*Regressor)(nil)
 )
@@ -121,11 +112,6 @@ func New(cfg Config) (*Regressor, error) {
 		return nil, err
 	}
 	return &Regressor{cfg: cfg}, nil
-}
-
-// Name implements ml.Named.
-func (r *Regressor) Name() string {
-	return fmt.Sprintf("kNN (k=%d, %s, p=%g)", r.cfg.K, r.cfg.Weights, r.cfg.MinkowskiP)
 }
 
 // Fit implements ml.Estimator. The training data is copied.
@@ -139,19 +125,17 @@ func (r *Regressor) Fit(x [][]float64, y []float64) error {
 	}
 	r.y = append([]float64(nil), y...)
 	r.index = nil
-	r.indexed = 0
-	r.merge()
+	r.merge(0)
 	return nil
 }
 
-// Observe implements ml.IncrementalEstimator: the batch lands in the
-// insert log (immediately visible to queries) and merges into the index
-// once the log outgrows the threshold. A single shared-feature-space kNN
-// has cross-key reach — a new sample under one hot key can enter the
-// neighbour set of queries under any other key, because the one-hot
-// offset is a constant distance penalty, not a wall — so the whole
-// vocabulary is reported dirty. The per-MAC router (ml.PerKey) is the
-// variant with tight dirty sets.
+// Observe implements ml.IncrementalEstimator: the batch is appended to
+// the training set and merged into the index at once. A single
+// shared-feature-space kNN has cross-key reach — a new sample under one
+// hot key can enter the neighbour set of queries under any other key,
+// because the one-hot offset is a constant distance penalty, not a wall
+// — so the whole vocabulary is reported dirty. The per-MAC router
+// (ml.PerKey) is the variant with tight dirty sets.
 func (r *Regressor) Observe(x [][]float64, y []float64) ([]int, error) {
 	if r.x == nil {
 		return nil, ml.ErrNotFitted
@@ -162,65 +146,37 @@ func (r *Regressor) Observe(x [][]float64, y []float64) ([]int, error) {
 	if len(x) == 0 {
 		return nil, nil
 	}
+	from := len(r.x)
 	for _, row := range x {
 		r.x = append(r.x, append([]float64(nil), row...))
 	}
 	r.y = append(r.y, y...)
-	if len(r.x)-r.indexed > r.mergeThreshold() {
-		r.merge()
-	}
+	r.merge(from)
 	return []int{ml.DirtyAll}, nil
 }
 
-// mergeThreshold bounds the incremental insert log: once more than this
-// many observed rows sit outside the KD-tree index, Observe merges them
-// in, rebuilding only the per-MAC subtrees whose keys gained rows (rows
-// that break the one-hot layout degrade to a full index rebuild).
-// Queries are byte-identical before and after a merge — the log is
-// scanned with the same canonical (distance, index) ordering the index
-// uses — so the bound trades only query cost against rebuild frequency.
-// It is ≈√n of the current training-set size, floored at
-// MinMergeThreshold: every query scans the log linearly — O(t) for a
-// log of t rows — while a subtree rebuild costs O(n log n) amortised
-// over those t observations, and t ≈ √n balances the two as the set
-// grows — a small survey merges eagerly, a large one lets the log
-// amortise more.
-func (r *Regressor) mergeThreshold() int {
-	if t := int(math.Sqrt(float64(len(r.x)))); t > MinMergeThreshold {
-		return t
-	}
-	return MinMergeThreshold
-}
-
-// Refit implements ml.IncrementalEstimator: any logged rows merge into
-// the index. Queries return the same bits before and after.
+// Refit implements ml.IncrementalEstimator. Observe has already merged
+// every batch, so it only checks that the regressor is fitted.
 func (r *Regressor) Refit() error {
 	if r.x == nil {
 		return ml.ErrNotFitted
 	}
-	if r.indexed < len(r.x) {
-		r.merge()
-	}
 	return nil
 }
 
-// merge folds the insert log into the index, emptying it. When the
-// logged rows fit the index's per-MAC layout, only the subtrees whose
-// keys gained members are rebuilt (the cheap per-key merge); a layout
-// change — or the full-dimension fallback tree — falls back to a
-// from-scratch index build. Queries return the same bits either way.
-func (r *Regressor) merge() {
+// merge folds rows x[from:] into the index. When they fit the index's
+// per-MAC layout, only the subtrees whose keys gained members are
+// rebuilt (the cheap per-key merge); a layout change — or the
+// full-dimension fallback tree — falls back to a from-scratch index
+// build. Queries return the same bits either way.
+func (r *Regressor) merge(from int) {
 	if r.cfg.MinkowskiP != 2 || r.cfg.BruteForce {
-		r.index = nil
-		r.indexed = len(r.x)
 		return
 	}
-	if r.index != nil && r.index.addRows(r.x, r.indexed) {
-		r.indexed = len(r.x)
+	if r.index != nil && r.index.addRows(r.x, from) {
 		return
 	}
 	r.index = buildIndex(r.x)
-	r.indexed = len(r.x)
 }
 
 // distance computes the Minkowski distance of order p and, for p=2, the
@@ -239,16 +195,10 @@ func (r *Regressor) distance(a, b []float64) (float64, float64) {
 }
 
 // gather fills nb with the k nearest training points in canonical
-// (dist, idx) order, via the index when one applies. Rows in the insert
-// log (past indexed) are scanned linearly either way; consider keeps the
-// canonical ordering regardless of offer order, so indexed and logged
-// candidates merge byte-identically to a full scan.
+// (dist, idx) order, via the index when one applies and by a full scan
+// otherwise.
 func (r *Regressor) gather(q []float64, nb *nearest) {
 	if r.index != nil && r.index.search(q, nb) {
-		for i := r.indexed; i < len(r.x); i++ {
-			d, sq := r.distance(q, r.x[i])
-			nb.consider(i, d, sq)
-		}
 		return
 	}
 	for i, row := range r.x {

@@ -255,13 +255,6 @@ func TestPerKeyValidation(t *testing.T) {
 	}
 }
 
-func TestNames(t *testing.T) {
-	r, _ := New(PaperPlainConfig())
-	if r.Name() == "" {
-		t.Error("empty regressor name")
-	}
-}
-
 func TestPerKeyPredictKeyedNotFitted(t *testing.T) {
 	p := perKey(PaperPlainConfig())
 	if _, err := p.PredictKeyed([][]float64{{1, 1, 1}}, 0); !errors.Is(err, ml.ErrNotFitted) {

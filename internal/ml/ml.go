@@ -1,16 +1,13 @@
 // Package ml defines the estimator abstraction of the paper's toolchain —
 // any regressor that learns RSS as a function of features — together with
-// the evaluation metrics (RMSE, MAE, R²), k-fold cross-validation and the
-// grid-search harness used to tune hyper-parameters (§III-B).
+// the evaluation metrics (RMSE, MAE, R²) and the held-out grid-search
+// harness used to tune hyper-parameters (§III-B).
 package ml
 
 import (
 	"errors"
 	"fmt"
 	"math"
-
-	"repro/internal/parallel"
-	"repro/internal/simrand"
 )
 
 // Estimator is a trainable regressor. Implementations live in the baseline,
@@ -31,12 +28,6 @@ type Estimator interface {
 type BatchPredictor interface {
 	// PredictBatch returns the estimate for every feature row.
 	PredictBatch(x [][]float64) ([]float64, error)
-}
-
-// Named is implemented by estimators that can label themselves for reports.
-type Named interface {
-	// Name returns a short display label.
-	Name() string
 }
 
 // ErrNotFitted is returned by Predict before Fit.
@@ -137,47 +128,4 @@ func EvaluateRMSE(e Estimator, trainX [][]float64, trainY []float64, testX [][]f
 		return 0, err
 	}
 	return RMSE(pred, testY)
-}
-
-// CrossValidateRMSE runs k-fold cross-validation and returns the mean fold
-// RMSE. The factory builds a fresh estimator per fold. Folds are evaluated
-// on the shared worker pool; see CrossValidateRMSEWorkers.
-func CrossValidateRMSE(factory func() Estimator, x [][]float64, y []float64, k int, rng *simrand.Source) (float64, error) {
-	return CrossValidateRMSEWorkers(factory, x, y, k, rng, 0)
-}
-
-// CrossValidateRMSEWorkers is CrossValidateRMSE with an explicit bound on
-// concurrent fold evaluations (≤ 0 means GOMAXPROCS). The permutation is
-// drawn before any fold runs and fold scores are summed in fold order, so
-// the result is byte-identical for every worker count.
-func CrossValidateRMSEWorkers(factory func() Estimator, x [][]float64, y []float64, k int, rng *simrand.Source, workers int) (float64, error) {
-	if err := ValidateTrainingData(x, y); err != nil {
-		return 0, err
-	}
-	if k < 2 || k > len(x) {
-		return 0, fmt.Errorf("ml: fold count %d outside [2, %d]", k, len(x))
-	}
-	perm := rng.Perm(len(x))
-	total, err := parallel.MapReduce(k, workers, func(fold int) (float64, error) {
-		var trX, teX [][]float64
-		var trY, teY []float64
-		for i, idx := range perm {
-			if i%k == fold {
-				teX = append(teX, x[idx])
-				teY = append(teY, y[idx])
-			} else {
-				trX = append(trX, x[idx])
-				trY = append(trY, y[idx])
-			}
-		}
-		rmse, err := EvaluateRMSE(factory(), trX, trY, teX, teY)
-		if err != nil {
-			return 0, fmt.Errorf("ml: fold %d: %w", fold, err)
-		}
-		return rmse, nil
-	}, 0.0, func(acc, v float64) float64 { return acc + v })
-	if err != nil {
-		return 0, err
-	}
-	return total / float64(k), nil
 }

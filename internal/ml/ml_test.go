@@ -121,29 +121,6 @@ func TestEvaluateRMSE(t *testing.T) {
 	}
 }
 
-func TestCrossValidateRMSE(t *testing.T) {
-	rng := simrand.New(1)
-	x := make([][]float64, 50)
-	y := make([]float64, 50)
-	for i := range x {
-		x[i] = []float64{float64(i)}
-		y[i] = 5 // constant target
-	}
-	score, err := CrossValidateRMSE(func() Estimator { return &constEstimator{v: 5} }, x, y, 5, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if score != 0 {
-		t.Errorf("CV RMSE = %v for a perfect constant predictor", score)
-	}
-	if _, err := CrossValidateRMSE(func() Estimator { return &constEstimator{} }, x, y, 1, rng); err == nil {
-		t.Error("k=1 accepted")
-	}
-	if _, err := CrossValidateRMSE(func() Estimator { return &constEstimator{} }, x, y, 51, rng); err == nil {
-		t.Error("k>n accepted")
-	}
-}
-
 func TestGrid(t *testing.T) {
 	g := Grid(map[string][]float64{
 		"k": {1, 3, 16},
@@ -181,7 +158,7 @@ func TestGridSearchRanksByRMSE(t *testing.T) {
 	factory := func(p Params) (Estimator, error) {
 		return &constEstimator{v: p["v"]}, nil
 	}
-	results, err := GridSearch(factory, Grid(map[string][]float64{"v": {0, 4, 5, 9}}), x, y, 0.25, rng)
+	results, err := GridSearch(factory, Grid(map[string][]float64{"v": {0, 4, 5, 9}}), x, y, 0.25, rng, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,13 +177,13 @@ func TestGridSearchValidation(t *testing.T) {
 	x := [][]float64{{1}, {2}, {3}, {4}}
 	y := []float64{1, 2, 3, 4}
 	factory := func(Params) (Estimator, error) { return &constEstimator{}, nil }
-	if _, err := GridSearch(factory, nil, x, y, 0.25, rng); err == nil {
+	if _, err := GridSearch(factory, nil, x, y, 0.25, rng, 0); err == nil {
 		t.Error("no candidates accepted")
 	}
-	if _, err := GridSearch(factory, []Params{{}}, x, y, 0, rng); err == nil {
+	if _, err := GridSearch(factory, []Params{{}}, x, y, 0, rng, 0); err == nil {
 		t.Error("zero validation fraction accepted")
 	}
-	if _, err := GridSearch(factory, []Params{{}}, nil, nil, 0.25, rng); err == nil {
+	if _, err := GridSearch(factory, []Params{{}}, nil, nil, 0.25, rng, 0); err == nil {
 		t.Error("empty training data accepted")
 	}
 }

@@ -25,22 +25,33 @@ func nnStream(n int, rng *simrand.Source) ([][]float64, []float64) {
 func smallCfg(seed uint64) Config {
 	cfg := PaperConfig(seed)
 	cfg.Epochs = 12
-	cfg.RetainTraining = true
 	return cfg
 }
 
-// TestNetworkRefitFullRetrainIdentity is rule 7 for the NN's default
-// incremental regime (FineTuneEpochs = 0): Refit on the cumulative data
-// predicts byte-identically to a fresh network of the same Config fitted
-// on that data.
+// incremental lifts a fresh network into the streaming contract the way
+// the generation loop does: the NN has no native incremental path, so it
+// runs through ml.RefitAdapter.
+func incremental(t *testing.T, cfg Config) ml.IncrementalEstimator {
+	t.Helper()
+	net, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inc := ml.NewRefitAdapter(net)
+	if _, ok := inc.(*ml.RefitAdapter); !ok {
+		t.Fatalf("NewRefitAdapter(*Network) = %T, want the refit adapter", inc)
+	}
+	return inc
+}
+
+// TestNetworkRefitFullRetrainIdentity is rule 7 for the NN: Refit on the
+// cumulative data predicts byte-identically to a fresh network of the
+// same Config fitted on that data.
 func TestNetworkRefitFullRetrainIdentity(t *testing.T) {
 	rng := simrand.New(31)
 	x, y := nnStream(180, rng)
 	queries, _ := nnStream(32, rng)
-	inc, err := New(smallCfg(99))
-	if err != nil {
-		t.Fatal(err)
-	}
+	inc := incremental(t, smallCfg(99))
 	if err := inc.Fit(x[:100], y[:100]); err != nil {
 		t.Fatal(err)
 	}
@@ -78,83 +89,11 @@ func TestNetworkRefitFullRetrainIdentity(t *testing.T) {
 	}
 }
 
-// TestNetworkFineTuneDeterminism: the warm-start regime is not pinned to
-// the from-scratch bits, but an identical Fit/Observe/Refit sequence must
-// reproduce identical weights — and the fine-tuned model must keep fitting
-// the data sensibly.
-func TestNetworkFineTuneDeterminism(t *testing.T) {
-	rng := simrand.New(77)
-	x, y := nnStream(200, rng)
-	queries, _ := nnStream(32, rng)
-	cfg := smallCfg(7)
-	cfg.FineTuneEpochs = 5
-	run := func() *Network {
-		t.Helper()
-		net, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := net.Fit(x[:120], y[:120]); err != nil {
-			t.Fatal(err)
-		}
-		for _, cut := range [][2]int{{120, 160}, {160, 200}} {
-			if _, err := net.Observe(x[cut[0]:cut[1]], y[cut[0]:cut[1]]); err != nil {
-				t.Fatal(err)
-			}
-			if err := net.Refit(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return net
-	}
-	a, b := run(), run()
-	for i, q := range queries {
-		va, err := a.Predict(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		vb, err := b.Predict(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Float64bits(va) != math.Float64bits(vb) {
-			t.Fatalf("query %d: replayed fine-tune sequence diverged: %x ≠ %x", i, va, vb)
-		}
-		if math.IsNaN(va) || math.IsInf(va, 0) {
-			t.Fatalf("query %d: fine-tuned prediction %v not finite", i, va)
-		}
-	}
-	// The fine-tuned model should still beat predicting the mean.
-	pred, err := ml.PredictAll(a, x[:200])
-	if err != nil {
-		t.Fatal(err)
-	}
-	rmse, err := ml.RMSE(pred, y[:200])
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mean float64
-	for _, v := range y[:200] {
-		mean += v
-	}
-	mean /= 200
-	var ssTot float64
-	for _, v := range y[:200] {
-		ssTot += (v - mean) * (v - mean)
-	}
-	if base := math.Sqrt(ssTot / 200); rmse >= base {
-		t.Fatalf("fine-tuned RMSE %.3f not better than mean baseline %.3f", rmse, base)
-	}
-}
-
 // TestNetworkObserveValidation: unfitted observes and dim mismatches are
 // rejected; empty batches are no-ops; Refit without pending is a no-op
 // that keeps predictions stable.
 func TestNetworkObserveValidation(t *testing.T) {
-	net, err := New(smallCfg(3))
-	if err != nil {
-		t.Fatal(err)
-	}
+	net := incremental(t, smallCfg(3))
 	if _, err := net.Observe([][]float64{{1, 2, 3}}, []float64{-50}); err == nil {
 		t.Error("Observe before Fit accepted")
 	}
@@ -183,28 +122,5 @@ func TestNetworkObserveValidation(t *testing.T) {
 	}
 	if math.Float64bits(before) != math.Float64bits(after) {
 		t.Fatal("no-op Refit changed predictions")
-	}
-}
-
-// TestNetworkObserveNeedsRetention: a batch-mode network (the default,
-// which releases its training data after Fit) refuses Observe with a
-// descriptive error instead of silently losing the original rows.
-func TestNetworkObserveNeedsRetention(t *testing.T) {
-	cfg := smallCfg(3)
-	cfg.RetainTraining = false
-	net, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := simrand.New(5)
-	x, y := nnStream(40, rng)
-	if err := net.Fit(x, y); err != nil {
-		t.Fatal(err)
-	}
-	if net.trainX != nil {
-		t.Fatal("batch-mode Fit retained the training set")
-	}
-	if _, err := net.Observe(x[:1], y[:1]); err == nil {
-		t.Fatal("Observe accepted without retained training data")
 	}
 }

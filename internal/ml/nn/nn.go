@@ -142,22 +142,6 @@ type Config struct {
 	// variance, so the coordinate block and the one-hot block train on
 	// comparable scales.
 	NormalizeInputs bool
-	// RetainTraining keeps a copy of the cumulative training set on the
-	// network after Fit, which the incremental path (Observe/Refit)
-	// needs to extend and retrain on. Off by default so batch-mode
-	// networks don't hold a dataset-sized copy for a capability they
-	// never use; Observe fails with a descriptive error when unset.
-	RetainTraining bool
-	// FineTuneEpochs selects the incremental Refit regime. Zero (the
-	// default) makes Refit a full deterministic retrain on the cumulative
-	// dataset — byte-identical to a fresh network fitted on the same data
-	// (determinism contract rule 7). A positive value opts into
-	// warm-start fine-tuning instead: Refit keeps the current weights,
-	// optimiser moments and normalisation statistics and runs this many
-	// epochs over the cumulative data — refit cost bounded regardless of
-	// Epochs, deterministic across identical Observe/Refit sequences, but
-	// deliberately *not* identical to a from-scratch retrain.
-	FineTuneEpochs int
 	// PerSampleUpdates selects the original per-sample training path: one
 	// scalar forward/backward and one optimiser step per sample, exactly
 	// the numerics of the seed implementation (pinned by golden tests).
@@ -211,9 +195,6 @@ func (c Config) Validate() error {
 	if c.BatchSize < 1 {
 		return errors.New("nn: batch size must be ≥1")
 	}
-	if c.FineTuneEpochs < 0 {
-		return errors.New("nn: fine-tune epochs must be ≥0")
-	}
 	return nil
 }
 
@@ -251,18 +232,10 @@ type Network struct {
 	// wsPool holds *mat.Workspace scratch arenas so concurrent Predict /
 	// PredictBatch calls are allocation-free after warm-up.
 	wsPool sync.Pool
-	// Cumulative training set (copies), retained so Observe/Refit can
-	// extend it; one dataset-sized block, the same order of magnitude Fit
-	// already holds while training.
-	trainX   [][]float64
-	trainY   []float64
-	pending  bool
-	refitGen int
 }
 
 var (
 	_ ml.Estimator      = (*Network)(nil)
-	_ ml.Named          = (*Network)(nil)
 	_ ml.BatchPredictor = (*Network)(nil)
 )
 
@@ -272,14 +245,6 @@ func New(cfg Config) (*Network, error) {
 		return nil, err
 	}
 	return &Network{cfg: cfg}, nil
-}
-
-// Name implements ml.Named.
-func (n *Network) Name() string {
-	if len(n.cfg.Hidden) == 1 {
-		return fmt.Sprintf("NN (%d-node %s hidden, %s)", n.cfg.Hidden[0].Units, n.cfg.Hidden[0].Activation, n.cfg.Optimizer)
-	}
-	return fmt.Sprintf("NN (%d hidden layers, %s)", len(n.cfg.Hidden), n.cfg.Optimizer)
 }
 
 // build initialises layers for the given input dimension with Xavier/Glorot
@@ -453,33 +418,12 @@ func (n *Network) Fit(x [][]float64, y []float64) error {
 	}
 
 	if n.cfg.PerSampleUpdates {
-		n.trainPerSample(x, targets, rng, n.cfg.Epochs)
+		n.trainPerSample(x, targets, rng)
 	} else {
-		n.trainMinibatch(x, targets, rng, n.cfg.Epochs)
+		n.trainMinibatch(x, targets, rng)
 	}
-	if n.cfg.RetainTraining {
-		n.retain(x, y)
-	} else {
-		n.trainX, n.trainY = nil, nil
-	}
-	n.pending = false
-	n.refitGen = 0
 	n.fitted = true
 	return nil
-}
-
-// retain snapshots the cumulative training set so Observe/Refit can
-// extend it. Rows are copied: callers keep ownership of their slices.
-func (n *Network) retain(x [][]float64, y []float64) {
-	tx := make([][]float64, len(x))
-	flat := make([]float64, len(x)*n.dim)
-	for i, row := range x {
-		dst := flat[i*n.dim : (i+1)*n.dim]
-		copy(dst, row)
-		tx[i] = dst
-	}
-	n.trainX = tx
-	n.trainY = append([]float64(nil), y...)
 }
 
 // standardizeInto writes the standardised row into dst; (v−mean)/std is the
@@ -494,7 +438,7 @@ func (n *Network) standardizeInto(dst, row []float64) {
 // trainPerSample is the compatibility path: one forward/backward and one
 // optimiser step per sample, in shuffle order — the seed implementation's
 // exact numerics (same rng consumption, same accumulation order).
-func (n *Network) trainPerSample(x [][]float64, targets []float64, rng *simrand.Source, epochs int) {
+func (n *Network) trainPerSample(x [][]float64, targets []float64, rng *simrand.Source) {
 	var rowBuf []float64
 	if n.xMean != nil {
 		rowBuf = make([]float64, n.dim)
@@ -503,7 +447,7 @@ func (n *Network) trainPerSample(x [][]float64, targets []float64, rng *simrand.
 	for i := range order {
 		order[i] = i
 	}
-	for epoch := 0; epoch < epochs; epoch++ {
+	for epoch := 0; epoch < n.cfg.Epochs; epoch++ {
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		for _, idx := range order {
 			row := x[idx]
@@ -522,7 +466,7 @@ func (n *Network) trainPerSample(x [][]float64, targets []float64, rng *simrand.
 // flat batch matrix (standardising on the fly), run one GEMM forward and
 // one GEMM backward for the whole batch, and apply a single fused optimiser
 // step on the mean gradient.
-func (n *Network) trainMinibatch(x [][]float64, targets []float64, rng *simrand.Source, epochs int) {
+func (n *Network) trainMinibatch(x [][]float64, targets []float64, rng *simrand.Source) {
 	dim := n.dim
 	rows := len(x)
 	bs := n.cfg.BatchSize
@@ -541,7 +485,7 @@ func (n *Network) trainMinibatch(x [][]float64, targets []float64, rng *simrand.
 	for i := range order {
 		order[i] = i
 	}
-	for epoch := 0; epoch < epochs; epoch++ {
+	for epoch := 0; epoch < n.cfg.Epochs; epoch++ {
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		for start := 0; start < rows; start += bs {
 			end := min(start+bs, rows)

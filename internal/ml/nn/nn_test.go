@@ -273,24 +273,6 @@ func TestFitRejectsBadData(t *testing.T) {
 	}
 }
 
-func TestName(t *testing.T) {
-	n, _ := New(PaperConfig(1))
-	if n.Name() == "" {
-		t.Error("empty name")
-	}
-	multi, _ := New(Config{
-		Hidden:           []LayerSpec{{Units: 4, Activation: ReLU}, {Units: 4, Activation: ReLU}},
-		OutputActivation: Linear,
-		Optimizer:        SGD,
-		LearningRate:     0.1,
-		Epochs:           1,
-		BatchSize:        1,
-	})
-	if multi.Name() == "" {
-		t.Error("empty multi-layer name")
-	}
-}
-
 func TestNormalizeInputsImprovesScaleMismatch(t *testing.T) {
 	// Features on wildly different scales: with input standardisation the
 	// network must still learn; predictions come back on the target scale.

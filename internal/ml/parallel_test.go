@@ -54,7 +54,7 @@ func TestGridSearchWorkerCountInvariance(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		rng := simrand.New(99)
 		x, y, candidates := searchFixture(rng)
-		got, err := GridSearchWorkers(factory, candidates, x, y, 0.25, rng, workers)
+		got, err := GridSearch(factory, candidates, x, y, 0.25, rng, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,7 +74,7 @@ func TestGridSearchWorkerCountInvariance(t *testing.T) {
 }
 
 // TestGridSearchWorkersErrorPropagates: a factory failure must cancel the
-// search and surface the error.
+// search and surface the error at every worker bound.
 func TestGridSearchWorkersErrorPropagates(t *testing.T) {
 	boom := errors.New("bad params")
 	factory := func(p Params) (Estimator, error) {
@@ -85,33 +85,8 @@ func TestGridSearchWorkersErrorPropagates(t *testing.T) {
 	}
 	x, y, candidates := searchFixture(simrand.New(5))
 	for _, workers := range []int{1, 8} {
-		if _, err := GridSearchWorkers(factory, candidates, x, y, 0.25, simrand.New(7), workers); !errors.Is(err, boom) {
+		if _, err := GridSearch(factory, candidates, x, y, 0.25, simrand.New(7), workers); !errors.Is(err, boom) {
 			t.Errorf("workers=%d: error = %v, want boom", workers, err)
-		}
-	}
-}
-
-// TestCrossValidateWorkerCountInvariance: fold scores must fold in fold
-// order, so the mean is byte-identical across worker counts.
-func TestCrossValidateWorkerCountInvariance(t *testing.T) {
-	factory := func() Estimator { return &noisyEstimator{bias: 1} }
-	var baseline float64
-	for i, workers := range []int{1, 2, 8} {
-		rng := simrand.New(17)
-		x := make([][]float64, 60)
-		y := make([]float64, 60)
-		for j := range x {
-			x[j] = []float64{rng.Range(0, 4)}
-			y[j] = rng.Range(-90, -50)
-		}
-		got, err := CrossValidateRMSEWorkers(factory, x, y, 5, rng, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i == 0 {
-			baseline = got
-		} else if got != baseline {
-			t.Errorf("workers=%d: CV RMSE %v ≠ workers=1 %v", workers, got, baseline)
 		}
 	}
 }

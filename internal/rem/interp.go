@@ -27,13 +27,7 @@ type IDW struct {
 	y []float64
 }
 
-var (
-	_ ml.Estimator = (*IDW)(nil)
-	_ ml.Named     = (*IDW)(nil)
-)
-
-// Name implements ml.Named.
-func (w *IDW) Name() string { return fmt.Sprintf("IDW (p=%g)", w.Power) }
+var _ ml.Estimator = (*IDW)(nil)
 
 // Fit implements ml.Estimator.
 func (w *IDW) Fit(x [][]float64, y []float64) error {
@@ -113,13 +107,7 @@ type Kriging struct {
 	nugget     float64
 }
 
-var (
-	_ ml.Estimator = (*Kriging)(nil)
-	_ ml.Named     = (*Kriging)(nil)
-)
-
-// Name implements ml.Named.
-func (k *Kriging) Name() string { return "ordinary kriging (exponential variogram)" }
+var _ ml.Estimator = (*Kriging)(nil)
 
 // variogram evaluates the fitted exponential model at lag h.
 func (k *Kriging) variogram(h float64) float64 {

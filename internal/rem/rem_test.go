@@ -84,9 +84,6 @@ func TestIDWValidation(t *testing.T) {
 	if _, err := w.Predict([]float64{1}); err == nil {
 		t.Error("dim mismatch accepted")
 	}
-	if w.Name() == "" {
-		t.Error("empty name")
-	}
 }
 
 func TestKrigingRecoversSmoothField(t *testing.T) {
@@ -136,9 +133,6 @@ func TestKrigingValidation(t *testing.T) {
 	coincident := [][]float64{{1, 1, 1}, {1, 1, 1}, {1, 1, 1}}
 	if err := k.Fit(coincident, []float64{1, 2, 3}); err == nil {
 		t.Error("coincident points accepted")
-	}
-	if k.Name() == "" {
-		t.Error("empty name")
 	}
 }
 
